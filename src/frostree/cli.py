@@ -6,7 +6,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,22 +40,25 @@ from .rng import RngStream, exhaust
 from .sequences import parse_sequence
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    subcommand: str
-    seq: str | None
-    seq2: str | None
-    n: int | None
-    replicas: int
-    seed: int
-    threads: int
-    format: str
-    out: str | None
-    mode: str
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"seed must be a nonnegative integer, got {text!r} "
+            "(from --seed or FROSTREE_SEED)"
+        )
+    return seed
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("FROSTREE_SEED", "0"))
+def _add_seed(p: argparse.ArgumentParser) -> None:
+    # argparse runs a string default through type= only when --seed is absent,
+    # so a bad FROSTREE_SEED is a usage error of the seeded subcommands alone
+    p.add_argument(
+        "--seed", type=_seed, default=os.environ.get("FROSTREE_SEED", "0")
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,13 +82,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo height histogram")
     common(p)
     p.add_argument("--replicas", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=None)
+    _add_seed(p)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument(
         "--dump-tree",
         action="store_true",
         help="dump the replica-0 tree (one vertex per line) instead of the report",
     )
+    p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("exact", help="exact height distribution")
     common(p)
@@ -95,6 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["forward", "reverse", "both"],
         default="forward",
     )
+    p.set_defaults(handler=_cmd_exact)
 
     p = sub.add_parser("couple", help="coupled height samples")
     common(p, seq=False)
@@ -108,7 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--mode", choices=["mc", "enumerate"], default="mc")
     p.add_argument("--replicas", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=None)
+    _add_seed(p)
+    p.set_defaults(handler=_cmd_couple)
 
     p = sub.add_parser("compare", help="stochastic dominance of two sequences")
     common(p, seq=False)
@@ -116,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq2", default=None)
     p.add_argument("--mode", choices=["enumerate", "mc"], default="enumerate")
     p.add_argument("--replicas", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=None)
+    _add_seed(p)
     p.add_argument("--slack", type=float, default=0.01)
     p.add_argument("--n", type=int, default=None, help="floor search: reference size")
     p.add_argument(
@@ -124,23 +129,27 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="floor search: file of newline-delimited sequences",
     )
+    p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("reduce", help="drop leading attach/freeze pairs")
     common(p)
     p.add_argument("--to-prefix", type=int, default=None, metavar="R")
+    p.set_defaults(handler=_cmd_reduce)
 
     p = sub.add_parser("bound", help="Bernoulli-sum tail bound")
     p.add_argument("--mean-sum", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None)
+    p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("theorem", help="height floor check at e ln n - 5 ln ln n")
     common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--replicas", type=int, default=1_000)
-    p.add_argument("--seed", type=int, default=None)
+    _add_seed(p)
     p.add_argument("--threads", type=int, default=1)
+    p.set_defaults(handler=_cmd_theorem)
 
     return parser
 
@@ -167,8 +176,8 @@ def _kv_csv(obj: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _flat(cfg: CliConfig, obj: dict) -> str:
-    return _kv_csv(obj) if cfg.format == "csv" else _json(obj)
+def _flat(args: argparse.Namespace, obj: dict) -> str:
+    return _kv_csv(obj) if args.format == "csv" else _json(obj)
 
 
 def _frac_obj(value: Fraction) -> dict:
@@ -179,17 +188,17 @@ def _law_from_masses(masses: dict[int, Fraction]) -> dict:
     return HeightDistribution.from_exact(masses).to_json_obj()
 
 
-def _cmd_simulate(cfg: CliConfig, args: argparse.Namespace) -> str:
-    seq = parse_sequence(cfg.seq or "")
+def _cmd_simulate(args: argparse.Namespace) -> str:
+    seq = parse_sequence(args.seq)
     if args.dump_tree:
-        arena = build_forward(seq, RngStream(cfg.seed, 0))
+        arena = build_forward(seq, RngStream(args.seed, 0))
         return arena.dump() + "\n"
-    report = run_mc(seq, cfg.replicas, cfg.seed, parallelism=cfg.threads)
-    return report.to_json() if cfg.format == "json" else report.to_csv()
+    report = run_mc(seq, args.replicas, args.seed, parallelism=args.threads)
+    return report.to_json() if args.format == "json" else report.to_csv()
 
 
-def _cmd_exact(cfg: CliConfig, args: argparse.Namespace) -> str:
-    seq = parse_sequence(cfg.seq or "")
+def _cmd_exact(args: argparse.Namespace) -> str:
+    seq = parse_sequence(args.seq)
     construction = args.construction
     if construction == "forward":
         dist = exact_height_distribution_forward(seq)
@@ -200,7 +209,7 @@ def _cmd_exact(cfg: CliConfig, args: argparse.Namespace) -> str:
     else:
         dist = exact_height_distribution_forward(seq)
         equal = dist == exact_height_distribution_reverse(seq)
-    if cfg.format == "csv":
+    if args.format == "csv":
         text = dist.to_csv()
         if equal is not None:
             text += f"# laws equal: {str(equal).lower()}\n"
@@ -228,9 +237,9 @@ def _couple_sampler(which: str, args: argparse.Namespace):
     return lambda src: couple_prop_iii(args.n, src)
 
 
-def _cmd_couple(cfg: CliConfig, args: argparse.Namespace) -> str:
+def _cmd_couple(args: argparse.Namespace) -> str:
     sampler = _couple_sampler(args.which, args)
-    if cfg.mode == "enumerate":
+    if args.mode == "enumerate":
         law_x: dict[int, Fraction] = {}
         law_xhat: dict[int, Fraction] = {}
         law_rrt: dict[int, Fraction] = {}
@@ -259,7 +268,7 @@ def _cmd_couple(cfg: CliConfig, args: argparse.Namespace) -> str:
             obj["mean_height_rrt"] = _frac_obj(mean_rrt)
         if args.which == "reduce":
             obj["pathwise_violation_mass"] = _frac_obj(violations)
-        if cfg.format == "csv":
+        if args.format == "csv":
             lines = ["law,height,mass_num,mass_den"]
             named = [("height_x", law_x), ("height_xhat", law_xhat)]
             if args.which == "prop_iii":
@@ -273,13 +282,13 @@ def _cmd_couple(cfg: CliConfig, args: argparse.Namespace) -> str:
         return _json(obj)
 
     samples = []
-    for i in range(cfg.replicas):
-        result = sampler(RngStream(cfg.seed, i))
+    for i in range(args.replicas):
+        result = sampler(RngStream(args.seed, i))
         if args.which == "prop_iii":
             hx, hxh, _ = result
             result = CoupledSample(height_x=hx, height_xhat=hxh)
         samples.append(result)
-    if cfg.format == "csv":
+    if args.format == "csv":
         return samples_to_csv(samples)
     rows = [
         {
@@ -293,20 +302,20 @@ def _cmd_couple(cfg: CliConfig, args: argparse.Namespace) -> str:
     return _json({"which": args.which, "mode": "mc", "samples": rows})
 
 
-def _cmd_compare(cfg: CliConfig, args: argparse.Namespace) -> str:
+def _cmd_compare(args: argparse.Namespace) -> str:
     if args.family is not None:
-        if cfg.n is None:
+        if args.n is None:
             raise FrostreeError("--family requires --n")
         lines = Path(args.family).read_text(encoding="utf-8").splitlines()
         family = [parse_sequence(line) for line in lines if line.strip()]
-        floor = min_floor_search(cfg.n, family)
-        return _flat(cfg, {"n": cfg.n, "family_size": len(family), "min_floor": floor})
+        floor = min_floor_search(args.n, family)
+        return _flat(args, {"n": args.n, "family_size": len(family), "min_floor": floor})
 
     if args.seq is None or args.seq2 is None:
         raise FrostreeError("compare needs --seq and --seq2 (or --family)")
     seq1 = parse_sequence(args.seq)
     seq2 = parse_sequence(args.seq2)
-    if cfg.mode == "enumerate":
+    if args.mode == "enumerate":
         d1 = exact_height_distribution_forward(seq1)
         d2 = exact_height_distribution_forward(seq2)
         fwd = stochastic_dominates(d1, d2)
@@ -321,7 +330,7 @@ def _cmd_compare(cfg: CliConfig, args: argparse.Namespace) -> str:
             else "incomparable"
         )
         return _flat(
-            cfg,
+            args,
             {
                 "seq": seq1.text,
                 "seq2": seq2.text,
@@ -331,27 +340,27 @@ def _cmd_compare(cfg: CliConfig, args: argparse.Namespace) -> str:
             },
         )
     # distinct master seeds keep the two runs independent
-    r1 = run_mc(seq1, cfg.replicas, cfg.seed)
-    r2 = run_mc(seq2, cfg.replicas, cfg.seed + 1)
+    r1 = run_mc(seq1, args.replicas, args.seed)
+    r2 = run_mc(seq2, args.replicas, args.seed + 1)
     verdict = empirical_dominance(r1, r2, args.slack)
     return _flat(
-        cfg,
+        args,
         {
             "seq": seq1.text,
             "seq2": seq2.text,
-            "replicas": cfg.replicas,
+            "replicas": args.replicas,
             "slack": args.slack,
             "verdict": verdict.value,
         },
     )
 
 
-def _cmd_reduce(cfg: CliConfig, args: argparse.Namespace) -> str:
-    seq = parse_sequence(cfg.seq or "")
+def _cmd_reduce(args: argparse.Namespace) -> str:
+    seq = parse_sequence(args.seq)
     if args.to_prefix is not None:
         result = reduce_to_prefix(seq, args.to_prefix)
         return _flat(
-            cfg,
+            args,
             {
                 "original": seq.text,
                 "target_run": args.to_prefix,
@@ -360,7 +369,7 @@ def _cmd_reduce(cfg: CliConfig, args: argparse.Namespace) -> str:
         )
     red = reduce_once(seq)
     return _flat(
-        cfg,
+        args,
         {
             "original": red.original.text,
             "reduced": red.reduced.text,
@@ -369,66 +378,33 @@ def _cmd_reduce(cfg: CliConfig, args: argparse.Namespace) -> str:
     )
 
 
-def _cmd_theorem(cfg: CliConfig, args: argparse.Namespace) -> str:
-    seq = parse_sequence(cfg.seq or "")
+def _cmd_theorem(args: argparse.Namespace) -> str:
+    seq = parse_sequence(args.seq)
     fraction = check_theorem_main(
-        seq, args.n, cfg.replicas, cfg.seed, parallelism=cfg.threads
+        seq, args.n, args.replicas, args.seed, parallelism=args.threads
     )
     return _flat(
-        cfg,
+        args,
         {
             "sequence": seq.text,
             "n": args.n,
-            "replicas": cfg.replicas,
-            "seed": cfg.seed,
+            "replicas": args.replicas,
+            "seed": args.seed,
             "threshold": height_threshold(args.n),
             "fraction": fraction,
         },
     )
 
 
+def _cmd_bound(args: argparse.Namespace) -> str:
+    bound = bennett_bound(BennettQuery(args.mean_sum, args.t))
+    return _flat(args, {"mean_sum": args.mean_sum, "t": args.t, "bound": bound})
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = CliConfig(
-        subcommand=args.subcommand,
-        seq=getattr(args, "seq", None),
-        seq2=getattr(args, "seq2", None),
-        n=getattr(args, "n", None),
-        replicas=getattr(args, "replicas", 1),
-        seed=(
-            getattr(args, "seed", None)
-            if getattr(args, "seed", None) is not None
-            else _default_seed()
-        ),
-        threads=getattr(args, "threads", 1),
-        format=getattr(args, "format", "json"),
-        out=getattr(args, "out", None),
-        mode=getattr(args, "mode", "mc"),
-    )
+    args = _build_parser().parse_args(argv)
     try:
-        if cfg.subcommand == "simulate":
-            text = _cmd_simulate(cfg, args)
-        elif cfg.subcommand == "exact":
-            text = _cmd_exact(cfg, args)
-        elif cfg.subcommand == "couple":
-            text = _cmd_couple(cfg, args)
-        elif cfg.subcommand == "compare":
-            text = _cmd_compare(cfg, args)
-        elif cfg.subcommand == "reduce":
-            text = _cmd_reduce(cfg, args)
-        elif cfg.subcommand == "bound":
-            text = _flat(
-                cfg,
-                {
-                    "mean_sum": args.mean_sum,
-                    "t": args.t,
-                    "bound": bennett_bound(BennettQuery(args.mean_sum, args.t)),
-                },
-            )
-        else:
-            text = _cmd_theorem(cfg, args)
-        _emit(text, cfg.out)
+        _emit(args.handler(args), args.out)
     except (FrostreeError, ValueError, OSError) as exc:
         print(f"frostree: {exc}", file=sys.stderr)
         return 1

@@ -28,24 +28,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .errors import InvalidSequence, NotReducible, TargetUnreachable
-from .forward import Driver, _as_driver
-from .rng import RngStream
-from .sequences import ChoiceSequence, Step, is_valid
-
-__all__ = [
-    "FreezeCase",
-    "CouplingTraceEntry",
-    "CoupledSample",
-    "ReducedSequence",
-    "reduce_once",
-    "reduce_to_prefix",
-    "couple_reduce",
-    "couple_prop_i",
-    "couple_prop_ii",
-    "couple_prop_iii",
-    "samples_to_csv",
-]
+from .errors import NotReducible, TargetUnreachable
+from .rng import Driver, RngStream, _as_driver
+from .sequences import ChoiceSequence, Step, require_valid
 
 
 class FreezeCase(Enum):
@@ -88,8 +73,7 @@ def _leading_attach_run(seq: ChoiceSequence) -> int:
 
 def reduce_once(seq: ChoiceSequence) -> ReducedSequence:
     """Drop the last step of the leading attach run and the freeze after it."""
-    if not is_valid(seq):
-        raise InvalidSequence(f"{seq.text!r} exhausts its active vertices early")
+    require_valid(seq)
     k = _leading_attach_run(seq)
     if k == 0:
         raise NotReducible("sequence starts with a freeze")
@@ -162,11 +146,9 @@ def couple_reduce(
         raise NotReducible("sequence starts with a freeze")
     if k == m:
         raise NotReducible("sequence has no freeze step")
-    if not is_valid(seq):
-        raise InvalidSequence(f"{seq.text!r} exhausts its active vertices early")
+    require_valid(seq)
 
-    final_actives = 1 + 2 * steps.count(Step.ATTACH) - m
-    forest = [0] * final_actives
+    forest = [0] * seq.walk.final
     for i in range(m, k + 1, -1):
         if steps[i - 1] is Step.FREEZE:
             forest.append(0)

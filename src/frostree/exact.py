@@ -22,7 +22,7 @@ from .errors import InvalidSequence, StateSpaceExceeded
 from .forward import forward_height
 from .reverse import build_reverse
 from .rng import law_of
-from .sequences import ChoiceSequence, Step, attach_run, is_valid, walk_profile
+from .sequences import ChoiceSequence, Step, attach_run, is_valid, require_valid
 
 DEFAULT_STATE_CAP = 10_000_000
 DEFAULT_REVERSE_LENGTH_CAP = 8
@@ -138,10 +138,6 @@ class DepthProfile:
     def initial() -> "DepthProfile":
         return DepthProfile((1,), 0)
 
-    @property
-    def active_total(self) -> int:
-        return sum(self.active_counts)
-
     def attach_at(self, depth: int) -> "DepthProfile":
         child = depth + 1
         counts = list(self.active_counts)
@@ -162,14 +158,13 @@ def exact_height_distribution_forward(
     seq: ChoiceSequence, state_cap: int = DEFAULT_STATE_CAP
 ) -> HeightDistribution:
     """Exact forward height law by depth-profile dynamic programming."""
-    if not is_valid(seq):
-        raise InvalidSequence(f"{seq.text!r} exhausts its active vertices early")
+    require_valid(seq)
     states: dict[DepthProfile, Fraction] = {DepthProfile.initial(): Fraction(1)}
-    for step in seq.steps:
+    # every state before step j holds s_{j-1} actives: the walk value
+    for step, total in zip(seq.steps, seq.walk.s_values):
         next_states: dict[DepthProfile, Fraction] = {}
         attach = step is Step.ATTACH
         for profile, mass in states.items():
-            total = profile.active_total
             for depth, count in enumerate(profile.active_counts):
                 if count == 0:
                     continue
@@ -196,8 +191,6 @@ def forward_law_by_enumeration(seq: ChoiceSequence) -> HeightDistribution:
     Exponential in the sequence length; this is the independent check for the
     depth-profile DP on small instances.
     """
-    if not is_valid(seq):
-        raise InvalidSequence(f"{seq.text!r} exhausts its active vertices early")
     return HeightDistribution.from_exact(law_of(lambda d: forward_height(seq, d)))
 
 
@@ -216,10 +209,8 @@ def exact_height_distribution_reverse(
         raise StateSpaceExceeded(
             f"reverse enumeration capped at length {length_cap}, got {len(seq)}"
         )
-    if not is_valid(seq):
-        raise InvalidSequence(f"{seq.text!r} exhausts its active vertices early")
-    profile = walk_profile(seq)
-    states: dict[tuple[int, ...], Fraction] = {(0,) * profile.final: Fraction(1)}
+    require_valid(seq)
+    states: dict[tuple[int, ...], Fraction] = {(0,) * seq.walk.final: Fraction(1)}
     for i in range(len(seq), 0, -1):
         next_states: dict[tuple[int, ...], Fraction] = {}
         if seq.steps[i - 1] is Step.FREEZE:

@@ -14,15 +14,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidSequence
-from .rng import ExhaustiveDriver, MonteCarloDriver, RngStream
-from .sequences import ChoiceSequence, Step, attach_run, walk_profile
+from .rng import Driver, RngStream, _as_driver
+from .sequences import ChoiceSequence, Step, require_valid
 from .tree import Status, TreeArena
-
-Driver = MonteCarloDriver | ExhaustiveDriver
-
-
-def _as_driver(rng: RngStream | Driver) -> Driver:
-    return MonteCarloDriver(rng) if isinstance(rng, RngStream) else rng
 
 
 @dataclass(frozen=True)
@@ -91,21 +85,15 @@ def build_forward(
 def forward_height(seq: ChoiceSequence, rng: RngStream | Driver) -> int:
     """Height of one forward build; tracks active depths only.
 
-    Consumes randomness exactly like :func:`build_forward` (one uniform per
-    step, identical index mapping), so both produce the same height for the
-    same stream.
+    Draws the same indices as :func:`build_forward` (one per step, option
+    count s_{j-1} at step j), so both produce the same height for the same
+    stream or choice path.  Raises InvalidSequence when the walk dies early.
     """
+    require_valid(seq)
     driver = _as_driver(rng)
-    flags = seq.attach_flags()
-    if isinstance(driver, MonteCarloDriver):
-        return _height_from_uniforms(flags, driver.uniform_block(len(flags)), seq)
     depths = [0]
     height = 0
-    for j, is_attach in enumerate(flags, start=1):
-        size = len(depths)
-        if size == 0:
-            raise InvalidSequence(f"no active vertex left at step {j} of {seq.text!r}")
-        i = driver.index(size)
+    for is_attach, i in zip(seq.attach_flags(), driver.indices(seq.sizes).tolist()):
         if is_attach:
             d = depths[i] + 1
             depths.append(d)
@@ -113,49 +101,13 @@ def forward_height(seq: ChoiceSequence, rng: RngStream | Driver) -> int:
                 height = d
         else:
             last = depths.pop()
-            if i < size - 1:
-                depths[i] = last
-    return height
-
-
-def _height_from_uniforms(flags: list[bool], u: np.ndarray, seq: ChoiceSequence) -> int:
-    depths = [0]
-    height = 0
-    append = depths.append
-    pop = depths.pop
-    for j, is_attach in enumerate(flags):
-        size = len(depths)
-        if size == 0:
-            raise InvalidSequence(
-                f"no active vertex left at step {j + 1} of {seq.text!r}"
-            )
-        i = int(u[j] * size)
-        if i >= size:
-            i = size - 1
-        if is_attach:
-            d = depths[i] + 1
-            append(d)
-            if d > height:
-                height = d
-        else:
-            last = pop()
-            if i < size - 1:
+            if i < len(depths):
                 depths[i] = last
     return height
 
 
 # --------------------------------------------------------------------------
 # Freeze-free shortcuts
-
-
-def _rrt_parents(n: int, driver: MonteCarloDriver) -> np.ndarray:
-    """Parent of vertex i (1-based step i), drawn as in build_forward."""
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    u = driver.uniform_block(n)
-    idx = (u * np.arange(1, n + 1)).astype(np.int64)
-    # guard against floating multiply rounding up to the bound
-    return np.minimum(idx, np.arange(0, n))
 
 
 def _depths_from_parents(parents: np.ndarray) -> np.ndarray:
@@ -171,6 +123,13 @@ def _depths_from_parents(parents: np.ndarray) -> np.ndarray:
     return depth
 
 
+def rrt_depths(n: int, driver: Driver) -> tuple[np.ndarray, np.ndarray]:
+    """Depths of the n + 1 vertices of an n-edge recursive tree, and the
+    parents of vertices 1..n, drawn as build_forward draws on n attachments."""
+    parents = driver.indices(np.arange(1, n + 1))
+    return _depths_from_parents(parents), parents
+
+
 def sample_rrt(n: int, rng: RngStream | Driver) -> TreeArena:
     """A uniform recursive tree with n edges.
 
@@ -179,13 +138,7 @@ def sample_rrt(n: int, rng: RngStream | Driver) -> TreeArena:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    driver = _as_driver(rng)
-    if not isinstance(driver, MonteCarloDriver):
-        arena = build_forward(attach_run(n), driver)
-        assert isinstance(arena, TreeArena)
-        return arena
-    parents = _rrt_parents(n, driver)
-    depths = _depths_from_parents(parents)
+    depths, parents = rrt_depths(n, _as_driver(rng))
     return TreeArena(
         parents=[-1] + parents.tolist(),
         depths=depths.tolist(),
@@ -248,9 +201,8 @@ def uniform_active_depth_law(seq: ChoiceSequence) -> list[Fraction]:
     enumeration confirms.  (The shifted variant with parameters 1, 1/2, 1/3
     is the depth law of the last attached vertex, a different quantity.)
     """
-    profile = walk_profile(seq)
-    if not all(v > 0 for v in profile.s_values[1:-1]):
-        raise InvalidSequence(f"{seq.text!r} exhausts its active vertices early")
+    require_valid(seq)
+    profile = seq.walk
     if profile.final == 0:
         raise InvalidSequence(
             f"{seq.text!r} ends fully frozen: no active vertex to sample"

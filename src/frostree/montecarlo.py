@@ -10,13 +10,14 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, InvalidSequence
-from .forward import _depths_from_parents, _rrt_parents, forward_height
+from .forward import forward_height, rrt_depths
 from .rng import MonteCarloDriver, RngStream
-from .sequences import ChoiceSequence, classify, is_valid, parse_sequence
+from .sequences import ChoiceSequence, classify, parse_sequence, require_valid
 
 
 @dataclass(frozen=True)
@@ -101,30 +102,30 @@ def _moments(histogram: dict[int, int], replicas: int) -> tuple[float, float]:
     return mean, max(var, 0.0)
 
 
-def _rrt_height_replica(n: int, stream: RngStream) -> int:
-    driver = MonteCarloDriver(stream)
-    if n == 0:
-        return 0
-    return int(_depths_from_parents(_rrt_parents(n, driver)).max())
-
-
 def _replica_heights(seq_text: str, master_seed: int, start: int, stop: int) -> dict[int, int]:
     seq = parse_sequence(seq_text)
+    n = len(seq)
+    freeze_free = seq.freeze_count == 0
     counts: dict[int, int] = {}
-    if seq.freeze_count == 0:
-        n = len(seq)
-        for i in range(start, stop):
-            h = _rrt_height_replica(n, RngStream(master_seed, i))
-            counts[h] = counts.get(h, 0) + 1
-    else:
-        for i in range(start, stop):
-            h = forward_height(seq, RngStream(master_seed, i))
-            counts[h] = counts.get(h, 0) + 1
+    for i in range(start, stop):
+        stream = RngStream(master_seed, i)
+        if freeze_free:
+            h = int(rrt_depths(n, MonteCarloDriver(stream))[0].max())
+        else:
+            h = forward_height(seq, stream)
+        counts[h] = counts.get(h, 0) + 1
     return counts
 
 
 def _worker(args: tuple[str, int, int, int]) -> dict[int, int]:
     return _replica_heights(*args)
+
+
+def _worker_count(parallelism: int, replicas: int) -> int:
+    """Processes run_mc uses: at most one per CPU, and 1 (serial) unless
+    every worker gets at least two replicas."""
+    workers = min(parallelism, os.cpu_count() or 1)
+    return 1 if replicas < 2 * workers else workers
 
 
 def run_mc(
@@ -144,20 +145,18 @@ def run_mc(
         raise ValueError("need at least one replica")
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
-    if not is_valid(seq):
-        raise InvalidSequence(f"{seq.text!r} exhausts its active vertices early")
+    require_valid(seq)
 
     text = seq.text
+    workers = _worker_count(parallelism, replicas)
     if len(seq) == 0:
         histogram = {0: replicas}
-    elif parallelism == 1 or replicas < 2 * parallelism:
+    elif workers == 1:
         histogram = _replica_heights(text, master_seed, 0, replicas)
     else:
-        bounds = [replicas * w // parallelism for w in range(parallelism + 1)]
-        tasks = [
-            (text, master_seed, bounds[w], bounds[w + 1]) for w in range(parallelism)
-        ]
-        with multiprocessing.Pool(parallelism) as pool:
+        bounds = [replicas * w // workers for w in range(workers + 1)]
+        tasks = [(text, master_seed, bounds[w], bounds[w + 1]) for w in range(workers)]
+        with multiprocessing.Pool(workers) as pool:
             parts = pool.map(_worker, tasks)
         histogram = {}
         for part in parts:
@@ -309,7 +308,7 @@ def walk_gap_growth(
         total = 0
         for r in range(replicas):
             driver = MonteCarloDriver(RngStream(master_seed, j * replicas + r))
-            depths = _depths_from_parents(_rrt_parents(m, driver))
+            depths, _ = rrt_depths(m, driver)
             u, v = driver.distinct_pair(m + 1)
             total += abs(int(depths[u]) - int(depths[v]))
         out.append((m, total / replicas))

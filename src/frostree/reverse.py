@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidSequence, SelfGraft
-from .forward import Driver, _as_driver
-from .rng import RngStream
-from .sequences import ChoiceSequence, Step, walk_profile
+from .errors import SelfGraft
+from .rng import Driver, RngStream, _as_driver
+from .sequences import ChoiceSequence, Step, require_valid
 from .tree import Status, TreeArena
 
 
@@ -125,14 +124,12 @@ def build_reverse(seq: ChoiceSequence, rng: RngStream | Driver) -> TreeArena:
     end fully frozen simply start from an empty forest and let the trailing
     freeze steps populate it.  Raises InvalidSequence when the walk dies early.
     """
-    profile = walk_profile(seq)
-    if not all(v > 0 for v in profile.s_values[1:-1]):
-        raise InvalidSequence(f"{seq.text!r} exhausts its active vertices early")
+    require_valid(seq)
     driver = _as_driver(rng)
     m = len(seq)
 
     forest = Forest()
-    for _ in range(profile.final):
+    for _ in range(seq.walk.final):
         forest.add_singleton(Status.ACTIVE, birth_step=m)
     for i in range(m, 0, -1):
         if seq.steps[i - 1] is Step.FREEZE:

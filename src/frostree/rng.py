@@ -1,15 +1,17 @@
 """Reproducible randomness and exhaustive choice enumeration.
 
 Every randomized construction in this package consumes randomness through a
-*driver* exposing two primitives:
+*driver* exposing three primitives:
 
 * ``index(k)``    -- uniform integer in ``[0, k)``
+* ``indices(sizes)`` -- one ``index(k)`` per entry k of ``sizes``, in order
 * ``distinct_pair(k)`` -- uniform ordered pair of distinct integers in ``[0, k)``
 
 ``MonteCarloDriver`` backs them with a seeded generator; ``ExhaustiveDriver``
 replays the same construction over every possible choice path, yielding exact
 rational weights.  Running one function under both drivers is how sampled laws
-get certified against exact ones.
+get certified against exact ones.  This module is the only place where a
+uniform float becomes an index.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Callable, Iterator, TypeVar
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_BLOCK = 4096  # uniforms drawn per MonteCarloDriver refill
 
 
 @dataclass(frozen=True)
@@ -36,6 +39,10 @@ class RngStream:
     master_seed: int
     stream_index: int = 0
 
+    def __post_init__(self) -> None:
+        if self.master_seed < 0:
+            raise ValueError(f"master seed must be nonnegative, got {self.master_seed}")
+
     def generator(self) -> np.random.Generator:
         seed_seq = np.random.SeedSequence(
             self.master_seed & _MASK64, spawn_key=(self.stream_index,)
@@ -43,20 +50,33 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(seed_seq))
 
 
-class MonteCarloDriver:
+class _ChoiceDriver:
+    """The primitives both drivers derive from their ``index``."""
+
+    __slots__ = ()
+
+    def distinct_pair(self, k: int) -> tuple[int, int]:
+        if k < 2:
+            raise ValueError("distinct_pair() needs at least two options")
+        a = self.index(k)
+        r = self.index(k - 1)
+        return a, r + 1 if r >= a else r
+
+
+class MonteCarloDriver(_ChoiceDriver):
     """Buffered uniform draws from an RngStream.
 
     ``index(k)`` consumes exactly one uniform float and maps it to
     ``floor(u * k)`` (clamped to ``k - 1`` against rare upward rounding), so
     any two consumers that make the same sequence of calls see identical
-    choices for the same stream.
+    choices for the same stream.  ``indices(sizes)`` applies the same map to a
+    block of uniforms at once.
     """
 
-    __slots__ = ("_gen", "_block", "_buf", "_pos")
+    __slots__ = ("_gen", "_buf", "_pos")
 
-    def __init__(self, rng: RngStream | np.random.Generator, block: int = 4096):
+    def __init__(self, rng: RngStream | np.random.Generator):
         self._gen = rng.generator() if isinstance(rng, RngStream) else rng
-        self._block = block
         self._buf = np.empty(0)
         self._pos = 0
 
@@ -64,7 +84,7 @@ class MonteCarloDriver:
         buf = self._buf
         pos = self._pos
         if pos == len(buf):
-            buf = self._buf = self._gen.random(self._block)
+            buf = self._buf = self._gen.random(_BLOCK)
             pos = 0
         self._pos = pos + 1
         return buf[pos]
@@ -86,15 +106,15 @@ class MonteCarloDriver:
         i = int(self._uniform() * k)
         return k - 1 if i >= k else i
 
-    def distinct_pair(self, k: int) -> tuple[int, int]:
-        if k < 2:
-            raise ValueError("distinct_pair() needs at least two options")
-        a = self.index(k)
-        r = self.index(k - 1)
-        return a, r + 1 if r >= a else r
+    def indices(self, sizes: np.ndarray) -> np.ndarray:
+        """``[index(k) for k in sizes]`` as an int64 array, from one block."""
+        if len(sizes) and sizes.min() <= 0:
+            raise ValueError("indices() needs positive option counts")
+        u = self.uniform_block(len(sizes))
+        return np.minimum((u * sizes).astype(np.int64), sizes - 1)
 
 
-class ExhaustiveDriver:
+class ExhaustiveDriver(_ChoiceDriver):
     """Depth-first enumeration of every choice path.
 
     Use through :func:`exhaust`; direct use follows the replay protocol:
@@ -126,12 +146,9 @@ class ExhaustiveDriver:
         self._path.append([0, k])
         return 0
 
-    def distinct_pair(self, k: int) -> tuple[int, int]:
-        if k < 2:
-            raise ValueError("distinct_pair() needs at least two options")
-        a = self.index(k)
-        r = self.index(k - 1)
-        return a, r + 1 if r >= a else r
+    def indices(self, sizes: np.ndarray) -> np.ndarray:
+        """``index(k)`` for each k of sizes, in order, as an int64 array."""
+        return np.array([self.index(k) for k in sizes.tolist()], dtype=np.int64)
 
     def path_weight(self) -> Fraction:
         denom = 1
@@ -150,6 +167,13 @@ class ExhaustiveDriver:
                 return True
             path.pop()
         return False
+
+
+Driver = MonteCarloDriver | ExhaustiveDriver
+
+
+def _as_driver(rng: RngStream | Driver) -> Driver:
+    return MonteCarloDriver(rng) if isinstance(rng, RngStream) else rng
 
 
 T = TypeVar("T")

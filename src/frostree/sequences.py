@@ -5,6 +5,9 @@ freeze (``-``).  The associated walk starts at 1 and moves by +1 or -1 per
 step; it counts the active vertices of the tree being built.  A sequence is
 *valid* when the walk stays positive strictly before the last step (the walk
 may reach 0 exactly at the end, meaning every vertex ends up frozen).
+
+The walk is computed once per sequence object and cached on it; every
+validity check and every sampling kernel reads that cached walk.
 """
 
 from __future__ import annotations
@@ -12,9 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import SequenceSyntaxError
+import numpy as np
+
+from .errors import InvalidSequence, SequenceSyntaxError
+
+MAX_STEPS = 10**7  # longest expansion the parser builds
 
 
 class Step(Enum):
@@ -59,9 +67,33 @@ class ChoiceSequence:
     def signs(self) -> list[int]:
         return [s.sign for s in self.steps]
 
-    def attach_flags(self) -> list[bool]:
+    def attach_flags(self) -> tuple[bool, ...]:
         """Per-step booleans (True = attach); the hot-loop representation."""
-        return [s is Step.ATTACH for s in self.steps]
+        return self._flags
+
+    @cached_property
+    def _flags(self) -> tuple[bool, ...]:
+        return tuple(s is Step.ATTACH for s in self.steps)
+
+    @cached_property
+    def walk(self) -> "WalkProfile":
+        """Active-vertex counts s_0..s_m, computed once per sequence object."""
+        values = [1]
+        s = 1
+        tau: int | float = math.inf
+        for j, step in enumerate(self.steps, start=1):
+            s += step.sign
+            values.append(s)
+            if s == 0 and tau is math.inf:
+                tau = j
+        return WalkProfile(tuple(values), tau)
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Option counts s_0..s_{m-1} of the steps' uniform choices (read-only)."""
+        sizes = np.array(self.walk.s_values[:-1], dtype=np.int64)
+        sizes.flags.writeable = False
+        return sizes
 
     @staticmethod
     def from_signs(signs: Iterable[int]) -> "ChoiceSequence":
@@ -98,10 +130,10 @@ def parse_sequence(text: str) -> ChoiceSequence:
     """Parse sequence text, e.g. ``"+^3(-+)^2"``.
 
     Raises SequenceSyntaxError (with byte offset) on malformed input,
-    including a repetition count of 0.
+    including a repetition count of 0 and an expansion past MAX_STEPS steps.
     """
     steps: list[Step] = []
-    pos = _parse_seq(text, 0, steps, top=True)
+    pos = _parse_seq(text, 0, steps, 0)
     pos = _skip_ws(text, pos)
     if pos != len(text):
         raise SequenceSyntaxError(f"unexpected character {text[pos]!r}", pos)
@@ -114,22 +146,23 @@ def _skip_ws(text: str, pos: int) -> int:
     return pos
 
 
-def _parse_seq(text: str, pos: int, out: list[Step], top: bool = False) -> int:
-    start = _skip_ws(text, pos)
-    pos = start
+def _parse_seq(text: str, pos: int, out: list[Step], enclosing: int) -> int:
+    """Parse terms into out; ``enclosing`` counts the steps already held by the
+    enclosing groups, which the expansion cap covers too."""
     any_term = False
     while True:
         pos = _skip_ws(text, pos)
         if pos >= len(text) or text[pos] == ")":
             break
-        pos = _parse_term(text, pos, out)
+        pos = _parse_term(text, pos, out, enclosing)
         any_term = True
     if not any_term:
         raise SequenceSyntaxError("expected '+', '-' or '('", pos)
     return pos
 
 
-def _parse_term(text: str, pos: int, out: list[Step]) -> int:
+def _parse_term(text: str, pos: int, out: list[Step], enclosing: int) -> int:
+    count, count_at = 1, pos
     ch = text[pos]
     if ch == "+":
         atom: list[Step] = [Step.ATTACH]
@@ -139,7 +172,7 @@ def _parse_term(text: str, pos: int, out: list[Step]) -> int:
         pos += 1
     elif ch == "(":
         atom = []
-        pos = _parse_seq(text, pos + 1, atom)
+        pos = _parse_seq(text, pos + 1, atom, enclosing + len(out))
         pos = _skip_ws(text, pos)
         if pos >= len(text) or text[pos] != ")":
             raise SequenceSyntaxError("unclosed '('", pos)
@@ -149,18 +182,21 @@ def _parse_term(text: str, pos: int, out: list[Step]) -> int:
 
     after = _skip_ws(text, pos)
     if after < len(text) and text[after] == "^":
-        num_start = _skip_ws(text, after + 1)
-        num_end = num_start
-        while num_end < len(text) and text[num_end].isdigit():
-            num_end += 1
-        if num_end == num_start:
-            raise SequenceSyntaxError("expected repetition count after '^'", num_start)
-        count = int(text[num_start:num_end])
-        if count == 0:
-            raise SequenceSyntaxError("repetition count must be positive", num_start)
-        out.extend(atom * count)
-        return num_end
-    out.extend(atom)
+        count_at = _skip_ws(text, after + 1)
+        pos = count_at
+        while pos < len(text) and text[pos].isdigit():
+            pos += 1
+        if pos == count_at:
+            raise SequenceSyntaxError("expected repetition count after '^'", count_at)
+        digits = text[count_at:pos].lstrip("0")
+        if not digits:
+            raise SequenceSyntaxError("repetition count must be positive", count_at)
+        # a count with more digits than MAX_STEPS is over the cap; int() would
+        # also refuse one of more than 4300 digits
+        count = int(digits) if len(digits) <= len(str(MAX_STEPS)) else MAX_STEPS + 1
+    if enclosing + len(out) + len(atom) * count > MAX_STEPS:
+        raise SequenceSyntaxError(f"sequence expands past {MAX_STEPS} steps", count_at)
+    out.extend(atom * count)
     return pos
 
 
@@ -207,17 +243,17 @@ class WalkProfile:
     def final(self) -> int:
         return self.s_values[-1]
 
+    @property
+    def valid(self) -> bool:
+        """True when the walk stays positive strictly before the final step.
+
+        Steps of +-1 from 1 first leave the positives through 0, so this is
+        "the first zero, if any, is the final value"."""
+        return self.tau >= len(self.s_values) - 1
+
 
 def walk_profile(seq: ChoiceSequence) -> WalkProfile:
-    values = [1]
-    s = 1
-    tau: int | float = math.inf
-    for j, step in enumerate(seq.steps, start=1):
-        s += step.sign
-        values.append(s)
-        if s == 0 and tau is math.inf:
-            tau = j
-    return WalkProfile(tuple(values), tau)
+    return seq.walk
 
 
 @dataclass(frozen=True)
@@ -231,12 +267,13 @@ class SequenceClass:
 
 def is_valid(seq: ChoiceSequence) -> bool:
     """True when the walk stays positive strictly before the final step."""
-    s = 1
-    for step in seq.steps[:-1]:
-        s += step.sign
-        if s <= 0:
-            return False
-    return True
+    return seq.walk.valid
+
+
+def require_valid(seq: ChoiceSequence) -> None:
+    """Raise InvalidSequence unless the walk stays positive before the end."""
+    if not seq.walk.valid:
+        raise InvalidSequence(f"{seq.text!r} exhausts its active vertices early")
 
 
 def classify(seq: ChoiceSequence, n: int) -> SequenceClass:
@@ -247,8 +284,7 @@ def classify(seq: ChoiceSequence, n: int) -> SequenceClass:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    profile = walk_profile(seq)
-    valid = all(v > 0 for v in profile.s_values[1:-1])
+    valid = seq.walk.valid
     member = valid and seq.attach_count == n
     return SequenceClass(n=n, valid=valid, in_x_n=member)
 

@@ -108,6 +108,33 @@ class TestSimulate:
         assert out1 == out2
 
 
+class TestSeed:
+    @pytest.mark.parametrize("env", ["abc", "-1", "1.5", ""])
+    def test_bad_env_seed_is_usage_error(self, monkeypatch, env):
+        monkeypatch.setenv("FROSTREE_SEED", env)
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--seq", "+", "--replicas", "2"])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("seed", ["-1", "abc"])
+    def test_bad_seed_flag_is_usage_error(self, seed):
+        with pytest.raises(SystemExit) as info:
+            main(["couple", "--which", "prop_iii", "--n", "2", "--seed", seed])
+        assert info.value.code == 2
+
+    def test_seed_flag_overrides_bad_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("FROSTREE_SEED", "abc")
+        code, out, _ = run_cli(
+            capsys, "simulate", "--seq", "+", "--replicas", "2", "--seed", "5"
+        )
+        assert code == 0 and json.loads(out)["seed"] == 5
+
+    def test_unseeded_subcommand_ignores_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("FROSTREE_SEED", "abc")
+        code, out, _ = run_cli(capsys, "bound", "--mean-sum", "1", "--t", "1")
+        assert code == 0 and json.loads(out)["bound"] > 0
+
+
 class TestCouple:
     def test_reduce_enumerate(self, capsys):
         code, out, _ = run_cli(

@@ -64,6 +64,14 @@ class TestBuildForward:
         with pytest.raises(InvalidSequence):
             build_forward(parse_sequence("+---"), R(0, 0))
 
+    @pytest.mark.parametrize("text", ["+---", "-+", "+--+^3"])
+    def test_height_rejects_early_death_under_both_drivers(self, text):
+        seq = parse_sequence(text)
+        with pytest.raises(InvalidSequence):
+            forward_height(seq, R(0, 0))
+        with pytest.raises(InvalidSequence):
+            law_of(lambda d: forward_height(seq, d))
+
     def test_trace_matches_walk(self):
         seq = parse_sequence("+^4-^2+^2-")
         profile = walk_profile(seq)

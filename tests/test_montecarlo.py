@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from frostree import montecarlo
 from frostree import (
     BennettQuery,
     DominanceVerdict,
@@ -55,6 +56,15 @@ class TestRunMc:
     def test_invalid_sequence(self):
         with pytest.raises(InvalidSequence):
             run_mc(parse_sequence("+-^3"), 10, 0)
+
+    def test_worker_count_capped_by_cpus(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        assert montecarlo._worker_count(64, 10_000) == 2
+        assert montecarlo._worker_count(1, 10_000) == 1
+        assert montecarlo._worker_count(8, 4) == 2
+        assert montecarlo._worker_count(8, 3) == 1  # fewer than two replicas each
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+        assert montecarlo._worker_count(8, 10_000) == 1
 
     def test_json_round_trip(self):
         report = run_mc(alternating(4), 500, 9, threshold=2.5)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from frostree import sequences
 from frostree import (
     ChoiceSequence,
     SequenceSyntaxError,
@@ -52,6 +53,31 @@ class TestParse:
         with pytest.raises(SequenceSyntaxError) as info:
             parse_sequence(bad)
         assert 0 <= info.value.offset <= len(bad)
+
+    def test_count_far_above_cap_rejected_at_its_offset(self):
+        with pytest.raises(SequenceSyntaxError) as info:
+            parse_sequence("+-+^100000000000")
+        assert info.value.offset == 4
+        with pytest.raises(SequenceSyntaxError) as info:
+            parse_sequence("+^" + "9" * 5000)
+        assert info.value.offset == 2
+        assert parse_sequence("+^003").steps == (A, A, A)
+
+    def test_nested_expansion_counts_enclosing_steps(self):
+        # the inner group alone fits, but not next to the steps around it
+        text = "+^9999999(+^9999999(+))"
+        with pytest.raises(SequenceSyntaxError) as info:
+            parse_sequence(text)
+        assert info.value.offset == text.index("9999999(+)")
+
+    def test_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(sequences, "MAX_STEPS", 10)
+        assert len(parse_sequence("+^10")) == 10
+        assert len(parse_sequence("(+-)^4(+)^2")) == 10
+        for text, offset in [("+^11", 2), ("(+-)^5+", 6), ("+^9(-)^2", 7)]:
+            with pytest.raises(SequenceSyntaxError) as info:
+                parse_sequence(text)
+            assert info.value.offset == offset
 
     def test_render_compresses_runs(self):
         assert render_sequence(seq(1, 1, 1)) == "+^3"
