@@ -91,8 +91,9 @@ def reduce_to_prefix(seq: ChoiceSequence, r: int) -> ChoiceSequence:
     a leading run of r forces walk value r + 1, and reduction never raises the
     walk maximum, so r above (max - 1) always fails.  ``(+-)^2`` has walk
     maximum 2 but its chain ``(+-)^2 -> +- -> (empty)`` shows leading runs
-    1, 1, 0 only.  Empirically r <= max - 1 is always reachable, although the
-    leading run is not monotone along the chain (it can grow, shrink, stall).
+    1, 1, 0 only.  Every r <= max - 1 is reachable for all valid sequences of
+    length at most 14 (an exhaustive test in tests/test_coupling.py), although
+    the leading run is not monotone along the chain (it can grow, shrink, stall).
     """
     if r < 0:
         raise ValueError("r must be nonnegative")

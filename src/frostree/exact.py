@@ -8,8 +8,9 @@ multiset of tree heights in the coalescing forest: graft pairs are drawn
 uniformly over ordered slot pairs, so slot order never influences the law and
 sorting the heights is an exact lumping of the positional chain.
 
-All oracle arithmetic is over exact rationals; empirical distributions use
-floats and the two kinds never mix in one comparison.
+All oracle arithmetic is exact: the DPs carry integer weights over one
+shared denominator per law and divide once per height at the end.  Empirical
+distributions use floats and the two kinds never mix in one comparison.
 """
 
 from __future__ import annotations
@@ -76,12 +77,14 @@ class HeightDistribution:
     def support_max(self) -> int:
         return max(self.masses)
 
+    def _zero(self) -> Fraction | float:
+        return Fraction(0) if self.exact else 0.0
+
     def mass(self, h: int) -> Fraction | float:
-        zero = Fraction(0) if self.exact else 0.0
-        return self.masses.get(h, zero)
+        return self.masses.get(h, self._zero())
 
     def cdf_pairs(self) -> list[tuple[int, Fraction | float]]:
-        acc = Fraction(0) if self.exact else 0.0
+        acc = self._zero()
         out = []
         for h in self.support:
             acc += self.masses[h]
@@ -89,8 +92,7 @@ class HeightDistribution:
         return out
 
     def mean(self) -> Fraction | float:
-        zero = Fraction(0) if self.exact else 0.0
-        return sum((h * p for h, p in self.masses.items()), zero)
+        return sum((h * p for h, p in self.masses.items()), self._zero())
 
     def tv_distance(self, other: "HeightDistribution") -> float:
         keys = set(self.masses) | set(other.masses)
@@ -122,67 +124,67 @@ class HeightDistribution:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class DepthProfile:
-    """Compressed forward state: active count per depth plus running height.
-
-    ``active_counts[d]`` is the number of active vertices at depth d (trailing
-    zeros trimmed); the height may exceed every occupied depth when the
-    deepest vertices are frozen.
-    """
-
-    active_counts: tuple[int, ...]
-    current_height: int
-
-    @staticmethod
-    def initial() -> "DepthProfile":
-        return DepthProfile((1,), 0)
-
-    def attach_at(self, depth: int) -> "DepthProfile":
-        child = depth + 1
-        counts = list(self.active_counts)
-        if child >= len(counts):
-            counts.extend([0] * (child + 1 - len(counts)))
-        counts[child] += 1
-        return DepthProfile(tuple(counts), max(self.current_height, child))
-
-    def freeze_at(self, depth: int) -> "DepthProfile":
-        counts = list(self.active_counts)
-        counts[depth] -= 1
-        while counts and counts[-1] == 0:
-            counts.pop()
-        return DepthProfile(tuple(counts), self.current_height)
-
-
 def exact_height_distribution_forward(
     seq: ChoiceSequence, state_cap: int = DEFAULT_STATE_CAP
 ) -> HeightDistribution:
-    """Exact forward height law by depth-profile dynamic programming."""
+    """Exact forward height law by depth-profile dynamic programming.
+
+    A state is ``(active_counts, height)``: the number of active vertices per
+    depth (trailing zeros trimmed) and the running height, which may exceed
+    every occupied depth once the deepest vertices are frozen.  Every state
+    before step j holds s_{j-1} actives, so all transitions of a step share
+    that divisor: weights stay integers and the law is weight / denominator,
+    with one division per height at the end.
+    """
     require_valid(seq)
-    states: dict[DepthProfile, Fraction] = {DepthProfile.initial(): Fraction(1)}
-    # every state before step j holds s_{j-1} actives: the walk value
-    for step, total in zip(seq.steps, seq.walk.s_values):
-        next_states: dict[DepthProfile, Fraction] = {}
-        attach = step is Step.ATTACH
-        for profile, mass in states.items():
-            for depth, count in enumerate(profile.active_counts):
+    states: dict[tuple[tuple[int, ...], int], int] = {((1,), 0): 1}
+    denominator = 1
+    steps = zip(seq.attach_flags(), seq.walk.s_values)
+    for j, (attach, total) in enumerate(steps, start=1):
+        next_states: dict[tuple[tuple[int, ...], int], int] = {}
+        for (counts, height), weight in states.items():
+            for depth, count in enumerate(counts):
                 if count == 0:
                     continue
-                target = (
-                    profile.attach_at(depth) if attach else profile.freeze_at(depth)
-                )
-                share = mass * Fraction(count, total)
-                next_states[target] = next_states.get(target, Fraction(0)) + share
+                moved = list(counts)
+                if attach:
+                    child = depth + 1
+                    if child == len(moved):
+                        moved.append(1)
+                    else:
+                        moved[child] += 1
+                    key = (tuple(moved), max(height, child))
+                else:
+                    moved[depth] -= 1
+                    while moved and moved[-1] == 0:
+                        moved.pop()
+                    key = (tuple(moved), height)
+                next_states[key] = next_states.get(key, 0) + weight * count
             if len(next_states) > state_cap:
-                raise StateSpaceExceeded(
-                    f"forward DP exceeded {state_cap} states on {seq.text!r}"
-                )
+                raise _state_cap_error("forward", seq, j, len(next_states), state_cap)
         states = next_states
-    heights: dict[int, Fraction] = {}
-    for profile, mass in states.items():
-        h = profile.current_height
-        heights[h] = heights.get(h, Fraction(0)) + mass
-    return HeightDistribution.from_exact(heights)
+        denominator *= total
+    return _law(((h, w) for (_, h), w in states.items()), denominator)
+
+
+def _law(weighted: Iterable[tuple[int, int]], denominator: int) -> HeightDistribution:
+    """Height law from (height, integer weight) pairs over one denominator."""
+    weights: dict[int, int] = {}
+    for h, w in weighted:
+        weights[h] = weights.get(h, 0) + w
+    return HeightDistribution.from_exact(
+        {h: Fraction(w, denominator) for h, w in weights.items()}
+    )
+
+
+def _state_cap_error(
+    dp: str, seq: ChoiceSequence, step: int, states: int, cap: int
+) -> StateSpaceExceeded:
+    """The cap error names the 1-based step whose states passed the cap."""
+    return StateSpaceExceeded(
+        f"{dp} DP reached {states} states at step {step} of {seq.text!r},"
+        f" above state_cap={cap}"
+    )
 
 
 def forward_law_by_enumeration(seq: ChoiceSequence) -> HeightDistribution:
@@ -203,24 +205,27 @@ def exact_height_distribution_reverse(
 
     Enumerates every ordered graft-pair draw, merging states that share the
     same multiset of tree heights (slot order cannot influence the law since
-    pairs are drawn uniformly over ordered slot pairs).
+    pairs are drawn uniformly over ordered slot pairs).  Every state of an
+    attach step has the same s trees, so each graft keeps its integer weight
+    and the step multiplies the shared denominator by s(s-1).
     """
     if len(seq) > length_cap:
         raise StateSpaceExceeded(
             f"reverse enumeration capped at length {length_cap}, got {len(seq)}"
         )
     require_valid(seq)
-    states: dict[tuple[int, ...], Fraction] = {(0,) * seq.walk.final: Fraction(1)}
-    for i in range(len(seq), 0, -1):
-        next_states: dict[tuple[int, ...], Fraction] = {}
-        if seq.steps[i - 1] is Step.FREEZE:
-            for heights, mass in states.items():
-                key = tuple(sorted(heights + (0,)))
-                next_states[key] = next_states.get(key, Fraction(0)) + mass
+    s = seq.walk.final  # trees in the forest before the next reverse step
+    states: dict[tuple[int, ...], int] = {(0,) * s: 1}
+    denominator = 1
+    for i in range(len(seq) - 1, -1, -1):
+        next_states: dict[tuple[int, ...], int] = {}
+        if seq.steps[i] is Step.FREEZE:
+            for heights, weight in states.items():
+                key = (0,) + heights  # keys are sorted and heights nonnegative
+                next_states[key] = next_states.get(key, 0) + weight
+            s += 1
         else:
-            for heights, mass in states.items():
-                s = len(heights)
-                share = mass * Fraction(1, s * (s - 1))
+            for heights, weight in states.items():
                 for target in range(s):
                     for donor in range(s):
                         if donor == target:
@@ -231,17 +236,14 @@ def exact_height_distribution_reverse(
                         ]
                         rest.append(merged)
                         key = tuple(sorted(rest))
-                        next_states[key] = next_states.get(key, Fraction(0)) + share
+                        next_states[key] = next_states.get(key, 0) + weight
                 if len(next_states) > state_cap:
-                    raise StateSpaceExceeded(
-                        f"reverse DP exceeded {state_cap} states on {seq.text!r}"
-                    )
+                    size = len(next_states)
+                    raise _state_cap_error("reverse", seq, i + 1, size, state_cap)
+            denominator *= s * (s - 1)
+            s -= 1
         states = next_states
-    heights_law: dict[int, Fraction] = {}
-    for heights, mass in states.items():
-        (h,) = heights
-        heights_law[h] = heights_law.get(h, Fraction(0)) + mass
-    return HeightDistribution.from_exact(heights_law)
+    return _law(((h, w) for (h,), w in states.items()), denominator)
 
 
 def reverse_law_by_enumeration(seq: ChoiceSequence) -> HeightDistribution:
@@ -268,8 +270,7 @@ def stochastic_dominates(d1: HeightDistribution, d2: HeightDistribution) -> bool
     """True when d1 is stochastically at least d2 (d1's CDF pointwise <= d2's)."""
     _require_same_mode(d1, d2)
     support = sorted(set(d1.masses) | set(d2.masses))
-    zero = Fraction(0) if d1.exact else 0.0
-    c1 = c2 = zero
+    c1 = c2 = d1._zero()
     for h in support:
         c1 += d1.mass(h)
         c2 += d2.mass(h)
@@ -282,8 +283,7 @@ def floored(d: HeightDistribution, h: int) -> HeightDistribution:
     """Law of max(h, H) for H distributed as d."""
     if h < 0:
         raise ValueError("floor must be nonnegative")
-    zero = Fraction(0) if d.exact else 0.0
-    at_floor = sum((p for hh, p in d.masses.items() if hh <= h), zero)
+    at_floor = sum((p for hh, p in d.masses.items() if hh <= h), d._zero())
     out = {hh: p for hh, p in d.masses.items() if hh > h}
     if at_floor != 0:
         out[h] = at_floor

@@ -19,6 +19,7 @@ from frostree import (
     couple_reduce,
     exact_height_distribution_forward,
     exhaust,
+    iter_valid_sequences,
     parse_sequence,
     reduce_once,
     reduce_to_prefix,
@@ -114,6 +115,24 @@ class TestReduceToPrefix:
             assert all(st is Step.ATTACH for st in result.steps[: peak - 1])
             with pytest.raises(TargetUnreachable):
                 reduce_to_prefix(seq, peak)
+
+    def test_exhaustive_reachability_up_to_length_14(self):
+        # every target r <= max - 1 is reached, for every valid sequence of
+        # length at most 14; r = max never is
+        pairs = 0
+        for m in range(0, 15):
+            for seq in iter_valid_sequences(m):
+                peak = walk_profile(seq).max_value
+                for r in range(peak):
+                    result = reduce_to_prefix(seq, r)
+                    assert all(st is Step.ATTACH for st in result.steps[:r]), (
+                        seq.text,
+                        r,
+                    )
+                    pairs += 1
+                with pytest.raises(TargetUnreachable):
+                    reduce_to_prefix(seq, peak)
+        assert pairs == 42_855  # (sequence, r) pairs over 7257 sequences
 
 
 class TestCoupleReduce:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frostree import (
+    ChoiceSequence,
     HeightDistribution,
     InvalidSequence,
     StateSpaceExceeded,
+    Step,
     alternating,
     attach_run,
     bernoulli_sum_distribution,
+    build_forward,
     dominance_with_floor,
     exact_height_distribution_forward,
     exact_height_distribution_reverse,
@@ -20,6 +24,7 @@ from frostree import (
     forward_law_by_enumeration,
     iter_valid_sequences,
     iter_xn_sequences,
+    law_of,
     min_floor_search,
     parse_sequence,
     stochastic_dominates,
@@ -30,6 +35,51 @@ def dist(masses):
     return HeightDistribution.from_exact(
         {int(k): Fraction(v) for k, v in masses.items()}
     )
+
+
+@st.composite
+def valid_sequences(draw, min_size, max_size):
+    """Random valid sequences: a freeze that would empty the tree before the
+    last step becomes an attach."""
+    wanted = draw(st.lists(st.booleans(), min_size=min_size, max_size=max_size))
+    steps, s = [], 1
+    for j, attach in enumerate(wanted):
+        if not attach and s == 1 and j < len(wanted) - 1:
+            attach = True
+        steps.append(Step.ATTACH if attach else Step.FREEZE)
+        s += 1 if attach else -1
+    return ChoiceSequence(tuple(steps))
+
+
+def root_only_mass(seq):
+    """P(every attach picks the root): the root must be drawn at each attach
+    and must escape every freeze before the last attach."""
+    flags = seq.attach_flags()
+    if not any(flags):
+        return Fraction(0)
+    last_attach = max(j for j, attach in enumerate(flags) if attach)
+    p = Fraction(1)
+    for j, (attach, s) in enumerate(zip(flags, seq.walk.s_values)):
+        if attach:
+            p *= Fraction(1, s)
+        elif j < last_attach:
+            p *= Fraction(s - 1, s)
+    return p
+
+
+def forward_state_peak(seq):
+    """Most distinct forward states after any step, counted by enumerating
+    every tree the prefix can build (a state: sorted active depths, height)."""
+    peak = 0
+    for j in range(1, len(seq) + 1):
+        prefix = ChoiceSequence(seq.steps[:j])
+
+        def state(driver):
+            tree = build_forward(prefix, driver)
+            return tuple(sorted(tree.depths[v] for v in tree.active_list)), tree.height
+
+        peak = max(peak, len(law_of(state)))
+    return peak
 
 
 class TestForwardDistribution:
@@ -76,8 +126,53 @@ class TestForwardDistribution:
                     == forward_law_by_enumeration(seq).masses
                 ), seq.text
 
+    def test_dp_equals_enumeration_length_7(self):
+        # lengths up to 6 are acceptance criterion 02
+        for seq in iter_valid_sequences(7):
+            assert (
+                exact_height_distribution_forward(seq)
+                == forward_law_by_enumeration(seq)
+            ), seq.text
+
+    @pytest.mark.parametrize("n", range(9, 15))
+    def test_attach_run_extremes(self, n):
+        law = exact_height_distribution_forward(attach_run(n))
+        assert law.mass(1) == law.mass(n) == Fraction(1, math.factorial(n))
+        assert sum(law.masses.values(), Fraction(0)) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(valid_sequences(9, 14))
+    def test_random_longer_sequences(self, seq):
+        law = exact_height_distribution_forward(seq)
+        assert sum(law.masses.values(), Fraction(0)) == 1
+        assert law.mass(1) == root_only_mass(seq)
+        assert law.support_max <= seq.attach_count
+
+    @pytest.mark.parametrize("text", ["+^8", "+^4-+^3", "+^3-^2+^4"])
+    def test_state_cap_boundary(self, text):
+        seq = parse_sequence(text)
+        peak = forward_state_peak(seq)
+        exact_height_distribution_forward(seq, state_cap=peak)
+        with pytest.raises(StateSpaceExceeded):
+            exact_height_distribution_forward(seq, state_cap=peak - 1)
+
+    def test_state_cap_message(self):
+        expected = "forward DP reached 4 states at step 3 of '+^12', above state_cap=3"
+        with pytest.raises(StateSpaceExceeded, match=re.escape(expected)):
+            exact_height_distribution_forward(attach_run(12), state_cap=3)
+
 
 class TestReverseDistribution:
+    def test_state_cap_message(self):
+        # undoing the last attach of +^4-+^3 leaves (0^5, 1); undoing step 7
+        # gives (0^4, 1^2), (0^5, 1) and (0^5, 2)
+        seq = parse_sequence("+^4-+^3")
+        expected = (
+            "reverse DP reached 3 states at step 7 of '+^4-+^3', above state_cap=2"
+        )
+        with pytest.raises(StateSpaceExceeded, match=re.escape(expected)):
+            exact_height_distribution_reverse(seq, state_cap=2)
+
     def test_matches_forward_on_examples(self):
         for text in ["+^2", "+-+", "+^2-+"]:
             seq = parse_sequence(text)
