@@ -4,6 +4,12 @@ Each attach step picks a uniformly random active vertex and gives it a new
 active child; each freeze step picks a uniformly random active vertex and
 freezes it.  After j steps the number of active vertices equals the walk value
 at j, which is what makes valid sequences exactly the executable ones.
+
+``forward_height`` is the one-replica kernel (and, under ``ExhaustiveDriver``,
+the oracle).  ``forward_heights`` runs a batch of replicas, one
+``MonteCarloDriver`` each, with one numpy step for the whole batch: every
+replica has exactly s_j actives after step j, so the batch state is a
+rectangular array.  It draws exactly what ``forward_height`` draws per driver.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidSequence
-from .rng import Driver, RngStream, _as_driver
+from .rng import Driver, MonteCarloDriver, RngStream, _as_driver, index_block
 from .sequences import ChoiceSequence, Step, require_valid
 from .tree import Status, TreeArena
 
@@ -107,27 +113,107 @@ def forward_height(seq: ChoiceSequence, rng: RngStream | Driver) -> int:
 
 
 # --------------------------------------------------------------------------
+# Replica batches
+
+INDEX_BLOCK = 1 << 16  # entries of one (replicas x steps) index block
+STATE_BYTES = 1 << 23  # bytes of one batch's active-depth state
+MAX_BATCH = 256  # replicas per batch; each holds a generator of about 1 kB
+
+
+def batch_replicas(seq: ChoiceSequence) -> int:
+    """Replicas per ``forward_heights`` batch on seq.
+
+    A freeze-free batch keeps all its indices, so it is one index block; a
+    forward batch keeps s_max active depths per replica.  The cap of 256
+    (the square root of INDEX_BLOCK) balances the per-step numpy call, which
+    a larger batch shares more widely, against the per-row generator call of
+    each time block, which a larger batch makes more frequent."""
+    if seq.freeze_count == 0:
+        per_batch = INDEX_BLOCK // max(len(seq), 1)
+    else:
+        per_batch = STATE_BYTES // (4 * seq.walk.max_value)  # int32 depths
+    return max(1, min(MAX_BATCH, per_batch))
+
+
+def forward_heights(seq: ChoiceSequence, drivers: list[MonteCarloDriver]) -> np.ndarray:
+    """Heights of len(drivers) forward builds: entry r equals
+    ``forward_height(seq, drivers[r])``, drawn from the same uniforms in the
+    same order.  Batches of ``batch_replicas(seq)`` drivers keep the memory
+    bounds.  Raises InvalidSequence when the walk dies early."""
+    require_valid(seq)
+    if seq.freeze_count == 0:
+        return rrt_batch_depths(len(seq), drivers).max(axis=1)
+
+    replicas = len(drivers)
+    s_values = seq.walk.s_values
+    flags = seq.attach_flags()
+    # state[p, r] is the depth of replica r's active vertex at position p;
+    # a replica's position p sits at flat offset p * replicas + r
+    state = np.zeros((seq.walk.max_value, replicas), dtype=np.int32)
+    flat = state.reshape(-1)
+    columns = np.arange(replicas)
+    one = np.int32(1)  # a Python int would be converted on every call
+    height = np.zeros(replicas, dtype=np.int32)
+    block = max(1, INDEX_BLOCK // replicas)
+    parent_depths = np.empty((min(block, len(seq)), replicas), dtype=np.int32)
+    for t0 in range(0, len(seq), block):
+        t1 = min(t0 + block, len(seq))
+        idx = index_block(drivers, seq.sizes[t0:t1])
+        offsets = np.empty((t1 - t0, replicas), dtype=np.intp)
+        np.multiply(idx.T, replicas, out=offsets)
+        offsets += columns
+        attaches = 0
+        for is_attach, s, at in zip(flags[t0:t1], s_values[t0:t1], offsets):
+            if is_attach:
+                # the new vertex takes position s; mode "clip" (indices are in
+                # range) lets take write to out without a buffer copy
+                parent = parent_depths[attaches]
+                flat.take(at, None, parent, "clip")
+                np.add(parent, one, state[s])
+                attaches += 1
+            else:
+                # swap-remove: the vertex at position s - 1 replaces the frozen one
+                flat[at] = state[s - 1]
+        if attaches:
+            np.maximum(height, parent_depths[:attaches].max(axis=0) + one, out=height)
+    return height
+
+
+# --------------------------------------------------------------------------
 # Freeze-free shortcuts
 
 
 def _depths_from_parents(parents: np.ndarray) -> np.ndarray:
-    """Depth of every vertex by ancestor pointer doubling."""
-    n = len(parents)
-    full = np.zeros(n + 1, dtype=np.int64)
-    full[1:] = parents
-    anc = full.copy()
-    depth = (np.arange(n + 1) > 0).astype(np.int64)
-    while np.any(anc != 0):
-        depth = depth + depth[anc]
-        anc = anc[anc]
-    return depth
+    """Depths of the n + 1 vertices of each of R trees, from the (R, n) array
+    whose entry [r, v - 1] is the parent of vertex v in tree r.
+
+    Ancestor pointer doubling over flat offsets: ``anc`` jumps to the
+    ancestor 2^t levels up (or the root), ``dist`` counts the levels jumped,
+    and the loop ends when every jump lands on a root."""
+    trees, n = parents.shape
+    width = n + 1
+    anc = np.empty((trees, width), dtype=np.intp)
+    anc[:, 0] = 0
+    anc[:, 1:] = parents
+    anc += np.arange(0, trees * width, width)[:, None]
+    anc = anc.reshape(-1)
+    dist = np.ones(trees * width, dtype=np.int64)
+    dist[::width] = 0
+    jumped = np.empty_like(dist)
+    spare = np.empty_like(anc)
+    while True:
+        dist.take(anc, None, jumped, "clip")
+        if not jumped.any():
+            return dist.reshape(trees, width)
+        dist += jumped
+        anc.take(anc, None, spare, "clip")
+        anc, spare = spare, anc
 
 
-def rrt_depths(n: int, driver: Driver) -> tuple[np.ndarray, np.ndarray]:
-    """Depths of the n + 1 vertices of an n-edge recursive tree, and the
-    parents of vertices 1..n, drawn as build_forward draws on n attachments."""
-    parents = driver.indices(np.arange(1, n + 1))
-    return _depths_from_parents(parents), parents
+def rrt_batch_depths(n: int, drivers: list[MonteCarloDriver]) -> np.ndarray:
+    """``(len(drivers), n + 1)`` depths of n-edge recursive trees, row r drawn
+    from drivers[r] as build_forward draws on n attachments."""
+    return _depths_from_parents(index_block(drivers, np.arange(1, n + 1)))
 
 
 def sample_rrt(n: int, rng: RngStream | Driver) -> TreeArena:
@@ -138,7 +224,8 @@ def sample_rrt(n: int, rng: RngStream | Driver) -> TreeArena:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    depths, parents = rrt_depths(n, _as_driver(rng))
+    parents = _as_driver(rng).indices(np.arange(1, n + 1))
+    depths = _depths_from_parents(parents[None])[0]
     return TreeArena(
         parents=[-1] + parents.tolist(),
         depths=depths.tolist(),

@@ -3,6 +3,13 @@
 Replica i always draws from stream (master_seed, i), and histograms are merged
 by commutative addition, so a run's output is a pure function of
 (sequence, replicas, master_seed) no matter how work is scheduled.
+
+``run_mc`` cuts the replicas into batches of ``forward.batch_replicas(seq)``
+and runs each batch through ``forward.forward_heights``: one numpy step per
+sequence step for the whole batch, or, for a freeze-free sequence, one pointer
+doubling over the batch's parent arrays.  A batched step has a fixed cost
+whatever the batch width, so splitting a batch over processes saves little;
+the pool starts only when every worker gets at least two batches.
 """
 
 from __future__ import annotations
@@ -14,10 +21,12 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DomainError, InvalidSequence
-from .forward import forward_height, rrt_depths
+from .forward import batch_replicas, forward_heights, rrt_batch_depths
 from .rng import MonteCarloDriver, RngStream
-from .sequences import ChoiceSequence, classify, parse_sequence, require_valid
+from .sequences import ChoiceSequence, attach_run, classify, parse_sequence, require_valid
 
 
 @dataclass(frozen=True)
@@ -102,30 +111,34 @@ def _moments(histogram: dict[int, int], replicas: int) -> tuple[float, float]:
     return mean, max(var, 0.0)
 
 
-def _replica_heights(seq_text: str, master_seed: int, start: int, stop: int) -> dict[int, int]:
-    seq = parse_sequence(seq_text)
-    n = len(seq)
-    freeze_free = seq.freeze_count == 0
+def _drivers(master_seed: int, start: int, stop: int) -> list[MonteCarloDriver]:
+    return [MonteCarloDriver(RngStream(master_seed, i)) for i in range(start, stop)]
+
+
+def _replica_heights(
+    seq: ChoiceSequence, master_seed: int, start: int, stop: int
+) -> dict[int, int]:
+    """Height histogram of replicas start..stop-1, batch by batch."""
+    per_batch = batch_replicas(seq)
     counts: dict[int, int] = {}
-    for i in range(start, stop):
-        stream = RngStream(master_seed, i)
-        if freeze_free:
-            h = int(rrt_depths(n, MonteCarloDriver(stream))[0].max())
-        else:
-            h = forward_height(seq, stream)
-        counts[h] = counts.get(h, 0) + 1
+    for first in range(start, stop, per_batch):
+        drivers = _drivers(master_seed, first, min(first + per_batch, stop))
+        heights, tally = np.unique(forward_heights(seq, drivers), return_counts=True)
+        for h, c in zip(heights.tolist(), tally.tolist()):
+            counts[h] = counts.get(h, 0) + c
     return counts
 
 
 def _worker(args: tuple[str, int, int, int]) -> dict[int, int]:
-    return _replica_heights(*args)
+    text, master_seed, start, stop = args
+    return _replica_heights(parse_sequence(text), master_seed, start, stop)
 
 
-def _worker_count(parallelism: int, replicas: int) -> int:
+def _worker_count(parallelism: int, batches: int) -> int:
     """Processes run_mc uses: at most one per CPU, and 1 (serial) unless
-    every worker gets at least two replicas."""
+    every worker gets at least two batches."""
     workers = min(parallelism, os.cpu_count() or 1)
-    return 1 if replicas < 2 * workers else workers
+    return 1 if batches < 2 * workers else workers
 
 
 def run_mc(
@@ -138,8 +151,10 @@ def run_mc(
     """Monte Carlo height histogram of the forward construction.
 
     Bit-identical output for fixed (seq, replicas, master_seed) regardless of
-    parallelism.  Freeze-free sequences take a vectorized path that consumes
-    streams identically to the general one.
+    parallelism.  Freeze-free sequences take a pointer-doubling path that
+    consumes streams identically to the general one.  With parallelism > 1 a
+    pool of at most one worker per CPU starts only when each worker gets two
+    batches of ``batch_replicas(seq)`` replicas.
     """
     if replicas < 1:
         raise ValueError("need at least one replica")
@@ -148,13 +163,16 @@ def run_mc(
     require_valid(seq)
 
     text = seq.text
-    workers = _worker_count(parallelism, replicas)
+    per_batch = batch_replicas(seq)
+    batches = -(-replicas // per_batch)
+    workers = _worker_count(parallelism, batches)
     if len(seq) == 0:
         histogram = {0: replicas}
     elif workers == 1:
-        histogram = _replica_heights(text, master_seed, 0, replicas)
+        histogram = _replica_heights(seq, master_seed, 0, replicas)
     else:
-        bounds = [replicas * w // workers for w in range(workers + 1)]
+        # whole batches per worker, so the batches match the serial run's
+        bounds = [min(replicas, per_batch * (batches * w // workers)) for w in range(workers + 1)]
         tasks = [(text, master_seed, bounds[w], bounds[w + 1]) for w in range(workers)]
         with multiprocessing.Pool(workers) as pool:
             parts = pool.map(_worker, tasks)
@@ -306,10 +324,12 @@ def walk_gap_growth(
         if m < 1:
             raise ValueError("tree sizes must be at least 1")
         total = 0
-        for r in range(replicas):
-            driver = MonteCarloDriver(RngStream(master_seed, j * replicas + r))
-            depths, _ = rrt_depths(m, driver)
-            u, v = driver.distinct_pair(m + 1)
-            total += abs(int(depths[u]) - int(depths[v]))
+        per_batch = batch_replicas(attach_run(m))
+        for first in range(j * replicas, (j + 1) * replicas, per_batch):
+            drivers = _drivers(master_seed, first, min(first + per_batch, (j + 1) * replicas))
+            # each driver draws its tree's parents, then its pair
+            for driver, depths in zip(drivers, rrt_batch_depths(m, drivers).tolist()):
+                u, v = driver.distinct_pair(m + 1)
+                total += abs(depths[u] - depths[v])
         out.append((m, total / replicas))
     return out

@@ -7,7 +7,8 @@ Every randomized construction in this package consumes randomness through a
 * ``indices(sizes)`` -- one ``index(k)`` per entry k of ``sizes``, in order
 * ``distinct_pair(k)`` -- uniform ordered pair of distinct integers in ``[0, k)``
 
-``MonteCarloDriver`` backs them with a seeded generator; ``ExhaustiveDriver``
+``MonteCarloDriver`` backs them with a seeded generator, and ``index_block``
+draws the same indices for many of them at once; ``ExhaustiveDriver``
 replays the same construction over every possible choice path, yielding exact
 rational weights.  Running one function under both drivers is how sampled laws
 get certified against exact ones.  This module is the only place where a
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -90,7 +91,10 @@ class MonteCarloDriver(_ChoiceDriver):
         return buf[pos]
 
     def uniform_block(self, count: int) -> np.ndarray:
-        """count fresh uniforms as an array (for vectorized consumers)."""
+        """count fresh uniforms as an array (for vectorized consumers).
+
+        Buffered uniforms go first, the rest come straight from the generator;
+        a PCG64 stream yields the same doubles however its calls are split."""
         out = np.empty(count)
         buf, pos = self._buf, self._pos
         avail = min(count, len(buf) - pos)
@@ -108,10 +112,21 @@ class MonteCarloDriver(_ChoiceDriver):
 
     def indices(self, sizes: np.ndarray) -> np.ndarray:
         """``[index(k) for k in sizes]`` as an int64 array, from one block."""
-        if len(sizes) and sizes.min() <= 0:
-            raise ValueError("indices() needs positive option counts")
-        u = self.uniform_block(len(sizes))
-        return np.minimum((u * sizes).astype(np.int64), sizes - 1)
+        return index_block((self,), sizes)[0]
+
+
+def index_block(drivers: Sequence[MonteCarloDriver], sizes: np.ndarray) -> np.ndarray:
+    """``(len(drivers), len(sizes))`` int64 array whose row r holds
+    ``drivers[r].indices(sizes)``: each row takes its driver's next uniforms,
+    and one ``floor(u * k)`` map (clamped to ``k - 1``) covers the block."""
+    if len(sizes) and sizes.min() <= 0:
+        raise ValueError("indices() needs positive option counts")
+    u = np.empty((len(drivers), len(sizes)))
+    for r, driver in enumerate(drivers):
+        u[r] = driver.uniform_block(len(sizes))
+    u *= sizes
+    out = u.astype(np.int64)
+    return np.minimum(out, sizes - 1, out=out)
 
 
 class ExhaustiveDriver(_ChoiceDriver):

@@ -13,9 +13,11 @@ validity check and every sampling kernel reads that cached walk.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -56,9 +58,9 @@ class ChoiceSequence:
     def __mul__(self, k: int) -> "ChoiceSequence":
         return ChoiceSequence(self.steps * k)
 
-    @property
+    @cached_property
     def attach_count(self) -> int:
-        return sum(1 for s in self.steps if s is Step.ATTACH)
+        return sum(self._flags)
 
     @property
     def freeze_count(self) -> int:
@@ -78,15 +80,9 @@ class ChoiceSequence:
     @cached_property
     def walk(self) -> "WalkProfile":
         """Active-vertex counts s_0..s_m, computed once per sequence object."""
-        values = [1]
-        s = 1
-        tau: int | float = math.inf
-        for j, step in enumerate(self.steps, start=1):
-            s += step.sign
-            values.append(s)
-            if s == 0 and tau is math.inf:
-                tau = j
-        return WalkProfile(tuple(values), tau)
+        values = tuple(accumulate(map((-1, 1).__getitem__, self._flags), initial=1))
+        tau: int | float = values.index(0) if 0 in values else math.inf
+        return WalkProfile(values, tau)
 
     @cached_property
     def sizes(self) -> np.ndarray:
@@ -200,23 +196,17 @@ def _parse_term(text: str, pos: int, out: list[Step], enclosing: int) -> int:
     return pos
 
 
+_RUN = re.compile(r"([+-])\1+")  # a maximal run of two or more equal steps
+
+
 def render_sequence(seq: ChoiceSequence) -> str:
     """Canonical printed form: maximal runs compressed with '^'.
 
     ``parse_sequence(render_sequence(s)) == s`` for every non-empty sequence
     (the empty sequence renders as "", which the grammar does not accept).
     """
-    out: list[str] = []
-    steps = seq.steps
-    i = 0
-    while i < len(steps):
-        j = i
-        while j < len(steps) and steps[j] is steps[i]:
-            j += 1
-        run = j - i
-        out.append(steps[i].char if run == 1 else f"{steps[i].char}^{run}")
-        i = j
-    return "".join(out)
+    raw = "".join(map("-+".__getitem__, seq.attach_flags()))
+    return _RUN.sub(lambda run: f"{run[1]}^{len(run[0])}", raw)
 
 
 # --------------------------------------------------------------------------
