@@ -15,6 +15,7 @@ from .coupling import (
     couple_prop_ii,
     couple_prop_iii,
     couple_reduce,
+    couple_reduce_samples,
     reduce_once,
     reduce_to_prefix,
     samples_to_csv,
@@ -221,11 +222,15 @@ def _cmd_exact(args: argparse.Namespace) -> str:
     return _json(obj)
 
 
+def _reduce_seq(args: argparse.Namespace):
+    if args.seq is None:
+        raise FrostreeError("--seq is required for the reduce coupling")
+    return parse_sequence(args.seq)
+
+
 def _couple_sampler(which: str, args: argparse.Namespace):
     if which == "reduce":
-        if args.seq is None:
-            raise FrostreeError("--seq is required for the reduce coupling")
-        seq = parse_sequence(args.seq)
+        seq = _reduce_seq(args)
         return lambda src: couple_reduce(seq, src)
     if which == "prop_i" or which == "prop_ii":
         if args.m is None or args.n is None:
@@ -238,8 +243,8 @@ def _couple_sampler(which: str, args: argparse.Namespace):
 
 
 def _cmd_couple(args: argparse.Namespace) -> str:
-    sampler = _couple_sampler(args.which, args)
     if args.mode == "enumerate":
+        sampler = _couple_sampler(args.which, args)
         law_x: dict[int, Fraction] = {}
         law_xhat: dict[int, Fraction] = {}
         law_rrt: dict[int, Fraction] = {}
@@ -281,13 +286,19 @@ def _cmd_couple(args: argparse.Namespace) -> str:
             return "\n".join(lines) + "\n"
         return _json(obj)
 
-    samples = []
-    for i in range(args.replicas):
-        result = sampler(RngStream(args.seed, i))
-        if args.which == "prop_iii":
-            hx, hxh, _ = result
-            result = CoupledSample(height_x=hx, height_xhat=hxh)
-        samples.append(result)
+    if args.replicas < 1:
+        raise ValueError("need at least one replica")
+    if args.which == "reduce":
+        samples = couple_reduce_samples(_reduce_seq(args), args.replicas, args.seed)
+    else:
+        sampler = _couple_sampler(args.which, args)
+        samples = []
+        for i in range(args.replicas):
+            result = sampler(RngStream(args.seed, i))
+            if args.which == "prop_iii":
+                hx, hxh, _ = result
+                result = CoupledSample(height_x=hx, height_xhat=hxh)
+            samples.append(result)
     if args.format == "csv":
         return samples_to_csv(samples)
     rows = [

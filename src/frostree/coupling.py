@@ -6,7 +6,8 @@ Three families of couplings are provided.
   and its once-reduced version (drop the last leading attach and the first
   freeze).  The reduced tree's height never exceeds the original's on any
   sample path, which realizes the stochastic-dominance statement as an
-  almost-sure inequality.
+  almost-sure inequality.  :func:`couple_reduce_heights` runs a batch of
+  replicas with one numpy step per graft and the same draws per replica.
 
 * :func:`couple_prop_i` and :func:`couple_prop_ii` couple the pair of trees
   obtained by inserting a freeze+attach (resp. attach+freeze) after an
@@ -28,8 +29,18 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
+from . import forward
 from .errors import NotReducible, TargetUnreachable
-from .rng import Driver, RngStream, _as_driver
+from .rng import (
+    Driver,
+    MonteCarloDriver,
+    RngStream,
+    _as_driver,
+    index_block,
+    stream_drivers,
+)
 from .sequences import ChoiceSequence, Step, require_valid
 
 
@@ -112,6 +123,38 @@ def reduce_to_prefix(seq: ChoiceSequence, r: int) -> ChoiceSequence:
 # Reduction coupling over the reversed construction
 
 
+def _reducible_run(seq: ChoiceSequence) -> int:
+    """The leading attach run k of seq, checked reducible (0 < k < len) and valid."""
+    k = _leading_attach_run(seq)
+    if k == 0:
+        raise NotReducible("sequence starts with a freeze")
+    if k == len(seq):
+        raise NotReducible("sequence has no freeze step")
+    require_valid(seq)
+    return k
+
+
+def _reduce_sizes(seq: ChoiceSequence, k: int) -> np.ndarray:
+    """Option counts of the joint run's draws in order: (n, n - 1) for each
+    distinct pair drawn from a forest of n trees.
+
+    The forest sizes follow from the sequence alone: the shared suffix grows
+    the forest by one tree per freeze and shrinks it by one per graft, the
+    spare adds one tree, and each of the k pairs after it removes one."""
+    n = seq.walk.final
+    forests = []
+    for step in reversed(seq.steps[k + 1 :]):
+        if step is Step.FREEZE:
+            n += 1
+        else:
+            forests.append(n)
+            n -= 1
+    forests.extend(range(n + 1, n + 1 - k, -1))
+    sizes = np.repeat(np.array(forests, dtype=np.int64), 2)
+    sizes[1::2] -= 1
+    return sizes
+
+
 def _graft_heights(forest: list[int], target: int, donor: int) -> None:
     """Height bookkeeping of a positional graft: donor slot removed, target
     slot replaced by the merge (surviving indices shift past the donor)."""
@@ -138,23 +181,20 @@ def couple_reduce(
     reduced forest replays the original's graft pairs with a one-step delay;
     afterwards both forests consume identical pairs.  ``check=True`` asserts
     the slot-by-slot height domination that makes the final inequality hold.
+    All indices come from one ``indices`` call over ``_reduce_sizes``; each
+    pair is ``distinct_pair``'s map of two of them.
     """
     driver = _as_driver(rng)
-    steps = seq.steps
-    m = len(steps)
-    k = _leading_attach_run(seq)
-    if k == 0:
-        raise NotReducible("sequence starts with a freeze")
-    if k == m:
-        raise NotReducible("sequence has no freeze step")
-    require_valid(seq)
+    k = _reducible_run(seq)
+    drawn = driver.indices(_reduce_sizes(seq, k)).tolist()
+    pairs = ((a, r + (r >= a)) for a, r in zip(drawn[::2], drawn[1::2]))
 
     forest = [0] * seq.walk.final
-    for i in range(m, k + 1, -1):
-        if steps[i - 1] is Step.FREEZE:
+    for step in reversed(seq.steps[k + 1 :]):
+        if step is Step.FREEZE:
             forest.append(0)
         else:
-            a, b = driver.distinct_pair(len(forest))
+            a, b = next(pairs)
             _graft_heights(forest, a, b)
 
     reduced_forest = forest.copy()
@@ -180,7 +220,7 @@ def couple_reduce(
         expected = reduced_forest[t] + 1 if a == 0 else max(reduced_forest[t], 1)
         assert forest[t] == expected, "graft slot height off"
 
-    a, b = driver.distinct_pair(len(forest))
+    a, b = next(pairs)
     spare_absorbed = not (a > 0 and b > 0)
     if spare_absorbed:
         absorb(a, b)
@@ -192,14 +232,12 @@ def couple_reduce(
     if trace:
         records.append(CouplingTraceEntry(spare_absorbed, pending))
 
-    for _ in range(k - 1, 0, -1):
+    for a, b in pairs:
         if spare_absorbed:
-            a, b = driver.distinct_pair(len(forest))
             _graft_heights(forest, a, b)
             _graft_heights(reduced_forest, a, b)
         else:
             _graft_heights(reduced_forest, pending[0] - 1, pending[1] - 1)
-            a, b = driver.distinct_pair(len(forest))
             if a > 0 and b > 0:
                 _graft_heights(forest, a, b)
             else:
@@ -220,6 +258,88 @@ def couple_reduce(
         height_xhat=reduced_forest[0],
         trace=tuple(records) if trace else None,
     )
+
+
+def _graft_rows(
+    forest: np.ndarray,
+    rows: np.ndarray,
+    parent: np.ndarray,
+    child: np.ndarray,
+    removed: np.ndarray,
+) -> np.ndarray:
+    """One positional graft per row of an (R, n) height array: in row r the
+    tree at slot child[r] hangs under the one at slot parent[r], slot
+    removed[r] (one of the two) is dropped with the later slots shifting down
+    one, and the merged tree lands in the pair's other slot.  Returns (R, n - 1)."""
+    height = np.maximum(forest[rows, parent], forest[rows, child] + 1)
+    shift = np.arange(forest.shape[1] - 1) >= removed[:, None]
+    out = np.where(shift, forest[:, 1:], forest[:, :-1])
+    kept = parent + child - removed  # the pair's other slot
+    out[rows, kept - (kept > removed)] = height
+    return out
+
+
+def couple_reduce_heights(
+    seq: ChoiceSequence, drivers: list[MonteCarloDriver]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(height_x, height_xhat)`` arrays of len(drivers) joint runs: entry r
+    equals ``couple_reduce(seq, drivers[r])``, drawn from the same uniforms in
+    the same order.
+
+    Every replica draws the same schedule, so one ``index_block`` call gives
+    all pairs and each forest is an (R, n) array that one ``_graft_rows`` call
+    advances per graft.  Before the spare is absorbed, the original forest's
+    slot 0 is the spare (height 0): a pair with b == 0 is an ordinary graft,
+    one with a == 0 drops slot 0 instead of slot b.  The reduced forest
+    replays the previous pair one slot down until its row's spare is absorbed.
+    """
+    k = _reducible_run(seq)
+    drawn = index_block(drivers, _reduce_sizes(seq, k)).T
+    pair_a = np.ascontiguousarray(drawn[0::2])  # (pairs, R): row j is pair j of every replica
+    pair_b = drawn[1::2] + (drawn[1::2] >= pair_a)
+    replicas = len(drivers)
+    rows = np.arange(replicas)
+    singleton = np.zeros((replicas, 1), dtype=np.int64)  # a frozen one-vertex tree
+
+    forest = np.zeros((replicas, seq.walk.final), dtype=np.int64)
+    j = 0
+    for step in reversed(seq.steps[k + 1 :]):
+        if step is Step.FREEZE:
+            forest = np.hstack((forest, singleton))
+        else:
+            forest = _graft_rows(forest, rows, pair_a[j], pair_b[j], pair_b[j])
+            j += 1
+
+    reduced = forest
+    forest = np.hstack((singleton, forest))  # the spare occupies slot 0
+    absorbed = np.zeros(replicas, dtype=bool)
+    spare_pair = j
+    for j in range(spare_pair, spare_pair + k):
+        a, b = pair_a[j], pair_b[j]
+        if j > spare_pair:
+            ra = np.where(absorbed, a, pair_a[j - 1] - 1)
+            rb = np.where(absorbed, b, pair_b[j - 1] - 1)
+            reduced = _graft_rows(reduced, rows, ra, rb, rb)
+        forest = _graft_rows(forest, rows, a, b, np.where((a == 0) & ~absorbed, a, b))
+        absorbed |= (a == 0) | (b == 0)
+    return forest[:, 0], reduced[:, 0]
+
+
+def couple_reduce_samples(
+    seq: ChoiceSequence, replicas: int, master_seed: int
+) -> list[CoupledSample]:
+    """``[couple_reduce(seq, RngStream(master_seed, i)) for i in range(replicas)]``
+    through :func:`couple_reduce_heights`, in batches of at most
+    ``forward.MAX_BATCH`` replicas whose index block holds at most
+    ``forward.INDEX_BLOCK`` entries (or one replica's draws)."""
+    draws = len(_reduce_sizes(seq, _reducible_run(seq)))
+    per_batch = max(1, min(forward.MAX_BATCH, forward.INDEX_BLOCK // draws))
+    samples = []
+    for start in range(0, replicas, per_batch):
+        drivers = stream_drivers(master_seed, start, min(start + per_batch, replicas))
+        height_x, height_xhat = couple_reduce_heights(seq, drivers)
+        samples += map(CoupledSample, height_x.tolist(), height_xhat.tolist())
+    return samples
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidSequence
 from .forward import batch_replicas, forward_heights, rrt_batch_depths
-from .rng import MonteCarloDriver, RngStream
+from .rng import stream_drivers
 from .sequences import ChoiceSequence, attach_run, classify, parse_sequence, require_valid
 
 
@@ -111,10 +111,6 @@ def _moments(histogram: dict[int, int], replicas: int) -> tuple[float, float]:
     return mean, max(var, 0.0)
 
 
-def _drivers(master_seed: int, start: int, stop: int) -> list[MonteCarloDriver]:
-    return [MonteCarloDriver(RngStream(master_seed, i)) for i in range(start, stop)]
-
-
 def _replica_heights(
     seq: ChoiceSequence, master_seed: int, start: int, stop: int
 ) -> dict[int, int]:
@@ -122,7 +118,7 @@ def _replica_heights(
     per_batch = batch_replicas(seq)
     counts: dict[int, int] = {}
     for first in range(start, stop, per_batch):
-        drivers = _drivers(master_seed, first, min(first + per_batch, stop))
+        drivers = stream_drivers(master_seed, first, min(first + per_batch, stop))
         heights, tally = np.unique(forward_heights(seq, drivers), return_counts=True)
         for h, c in zip(heights.tolist(), tally.tolist()):
             counts[h] = counts.get(h, 0) + c
@@ -326,7 +322,8 @@ def walk_gap_growth(
         total = 0
         per_batch = batch_replicas(attach_run(m))
         for first in range(j * replicas, (j + 1) * replicas, per_batch):
-            drivers = _drivers(master_seed, first, min(first + per_batch, (j + 1) * replicas))
+            stop = min(first + per_batch, (j + 1) * replicas)
+            drivers = stream_drivers(master_seed, first, stop)
             # each driver draws its tree's parents, then its pair
             for driver, depths in zip(drivers, rrt_batch_depths(m, drivers).tolist()):
                 u, v = driver.distinct_pair(m + 1)

@@ -115,6 +115,11 @@ class MonteCarloDriver(_ChoiceDriver):
         return index_block((self,), sizes)[0]
 
 
+def stream_drivers(master_seed: int, start: int, stop: int) -> list[MonteCarloDriver]:
+    """Drivers of replicas start..stop-1; replica i draws from stream (master_seed, i)."""
+    return [MonteCarloDriver(RngStream(master_seed, i)) for i in range(start, stop)]
+
+
 def index_block(drivers: Sequence[MonteCarloDriver], sizes: np.ndarray) -> np.ndarray:
     """``(len(drivers), len(sizes))`` int64 array whose row r holds
     ``drivers[r].indices(sizes)``: each row takes its driver's next uniforms,

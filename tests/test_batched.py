@@ -12,16 +12,19 @@ from hypothesis import strategies as st
 from frostree import (
     ChoiceSequence,
     MonteCarloDriver,
+    NotReducible,
     RngStream,
     alternating,
     attach_run,
+    couple_reduce,
     forward_height,
     parse_sequence,
     run_mc,
     sample_rrt,
     walk_gap_growth,
 )
-from frostree import forward, montecarlo
+from frostree import coupling, forward, montecarlo
+from frostree.coupling import couple_reduce_heights, couple_reduce_samples
 from frostree.forward import batch_replicas, forward_heights
 from frostree.rng import index_block
 
@@ -187,3 +190,109 @@ def test_freeze_free_batch_is_one_index_block(n):
     per_batch = batch_replicas(attach_run(n))
     assert 1 <= per_batch <= forward.MAX_BATCH
     assert per_batch == 1 or per_batch * n <= forward.INDEX_BLOCK
+
+
+# --------------------------------------------------------------------------
+# Reduction coupling
+
+
+@st.composite
+def reducible_walks(draw):
+    """A leading attach run of k >= 1, the freeze after it, free steps that
+    keep the walk positive, and optionally freezes down to 0 (so the joint
+    run starts from an empty forest)."""
+    k = draw(st.integers(1, 8))
+    signs, s = [1] * k + [-1], k
+    for is_attach in draw(st.lists(st.booleans(), max_size=40)):
+        if is_attach or s == 1:
+            signs.append(1)
+            s += 1
+        else:
+            signs.append(-1)
+            s -= 1
+    if draw(st.booleans()):
+        signs += [-1] * s
+    return ChoiceSequence.from_signs(signs)
+
+
+def assert_reduce_heights_match(seq, seed, start, stop):
+    batch = drivers(seed, start, stop)
+    height_x, height_xhat = couple_reduce_heights(seq, batch)
+    scalar = drivers(seed, start, stop)
+    want = [couple_reduce(seq, driver) for driver in scalar]
+    assert height_x.tolist() == [s.height_x for s in want]
+    assert height_xhat.tolist() == [s.height_xhat for s in want]
+    # each row drew exactly its own driver's uniforms: the streams continue alike
+    assert [d.uniform_block(2).tolist() for d in batch] == [
+        d.uniform_block(2).tolist() for d in scalar
+    ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seq=reducible_walks(),
+    seed=st.integers(0, 2**32),
+    start=st.integers(0, 10**6),
+    replicas=st.integers(1, 12),
+)
+def test_batched_reduce_coupling_equals_scalar_per_replica(seq, seed, start, replicas):
+    assert_reduce_heights_match(seq, seed, start, start + replicas)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "+-+",  # leading run of 1: the spare's pair is the only one, no replay
+        "+--",  # ends at 0: the joint run starts from an empty forest
+        "+-(+-)^3",
+        "+^3-^4",
+        "+^4-^2+-",
+        "+^6-+-+-^5",
+    ],
+)
+def test_batched_reduce_coupling_covers_every_absorption_time(text):
+    seq = parse_sequence(text)
+    k = coupling._leading_attach_run(seq)
+    replicas = 400
+    assert_reduce_heights_match(seq, 5, 0, replicas)
+    absorbed_at = set()
+    for i in range(replicas):
+        flags = [e.spare_absorbed for e in couple_reduce(seq, RngStream(5, i), trace=True).trace]
+        absorbed_at.add(flags.index(True))
+    # the spare went on its first pair in some rows, on each later pair in others
+    assert absorbed_at == set(range(k))
+
+
+@pytest.mark.parametrize("text", ["-+", "+^3"])
+def test_batched_reduce_coupling_rejects_what_the_scalar_rejects(text):
+    seq = parse_sequence(text)
+    with pytest.raises(NotReducible) as scalar:
+        couple_reduce(seq, RngStream(0))
+    with pytest.raises(NotReducible) as batched:
+        couple_reduce_heights(seq, drivers(0, 0, 2))
+    assert str(batched.value) == str(scalar.value)
+    with pytest.raises(NotReducible):
+        couple_reduce_samples(seq, 3, 0)
+
+
+@pytest.mark.parametrize("index_block_entries, max_batch", [(60, 256), (4, 256), (1 << 16, 3)])
+def test_reduce_batches_keep_the_index_block_budget(monkeypatch, index_block_entries, max_batch):
+    monkeypatch.setattr(forward, "INDEX_BLOCK", index_block_entries)
+    monkeypatch.setattr(forward, "MAX_BATCH", max_batch)
+    seq = parse_sequence("+^3-+-^2+^2-")
+    draws = 2 * seq.attach_count
+    blocks = []
+    real_index_block = coupling.index_block
+
+    def spy(batch, sizes):
+        blocks.append((len(batch), len(sizes)))
+        return real_index_block(batch, sizes)
+
+    monkeypatch.setattr(coupling, "index_block", spy)
+    samples = couple_reduce_samples(seq, 23, 9)
+    assert sum(rows for rows, _ in blocks) == 23 and len(blocks) >= 3
+    for rows, width in blocks:
+        assert width == draws and rows <= max_batch
+        assert rows * width <= max(index_block_entries, draws)
+    want = [couple_reduce(seq, RngStream(9, i)) for i in range(23)]
+    assert samples == want

@@ -6,7 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from frostree import SimulationReport, TreeArena
+from frostree import (
+    RngStream,
+    SimulationReport,
+    TreeArena,
+    couple_reduce,
+    forward,
+    parse_sequence,
+    samples_to_csv,
+)
 from frostree.cli import main
 
 
@@ -184,6 +192,35 @@ class TestCouple:
         code, _, err = run_cli(capsys, "couple", "--which", "reduce")
         assert code == 1
         assert "seq" in err
+
+    @pytest.mark.parametrize("replicas", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "which", [["reduce", "--seq", "+-+"], ["prop_i", "--m", "2", "--n", "2"]]
+    )
+    def test_mc_without_replicas_is_domain_error(self, capsys, which, replicas):
+        code, out, err = run_cli(
+            capsys, "couple", "--which", *which, "--replicas", replicas
+        )
+        assert code == 1 and out == ""
+        assert "need at least one replica" in err
+
+    def test_reduce_mc_bytes_match_the_per_replica_loop(self, capsys, monkeypatch):
+        # batches of at most 4 replicas: 19 replicas cross four batch boundaries
+        monkeypatch.setattr(forward, "MAX_BATCH", 4)
+        text, replicas, seed = "+^3-+-^2(+-)^2+-^3", 19, 12
+        seq = parse_sequence(text)
+        samples = [couple_reduce(seq, RngStream(seed, i)) for i in range(replicas)]
+        rows = [
+            {"replica": i, "height_x": s.height_x, "height_xhat": s.height_xhat, "case": None}
+            for i, s in enumerate(samples)
+        ]
+        want_json = json.dumps(
+            {"which": "reduce", "mode": "mc", "samples": rows}, sort_keys=True, indent=2
+        ) + "\n"
+        argv = ["couple", "--which", "reduce", "--seq", text,
+                "--replicas", str(replicas), "--seed", str(seed)]
+        assert run_cli(capsys, *argv) == (0, want_json, "")
+        assert run_cli(capsys, *argv, "--format", "csv") == (0, samples_to_csv(samples), "")
 
 
 class TestCompare:

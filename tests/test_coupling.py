@@ -30,6 +30,18 @@ from frostree import (
 R = RngStream
 
 
+class CountingGenerator:
+    """A numpy Generator stand-in that counts the uniforms drawn from it."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.generated = 0
+
+    def random(self, n):
+        self.generated += n
+        return self.gen.random(n)
+
+
 def freeze_run(k):
     return ChoiceSequence((Step.FREEZE,) * k)
 
@@ -173,6 +185,23 @@ class TestCoupleReduce:
         expected = [float(exact.mass(h)) * n for h in support]
         result = scipy_stats.chisquare(observed, expected)
         assert result.pvalue > 1e-4
+
+    def test_fresh_stream_generates_only_the_draws_it_uses(self):
+        seq = parse_sequence("+^4-^2+-(+-)^3")
+        gen = CountingGenerator(R(3, 0).generator())
+        sample = couple_reduce(seq, MonteCarloDriver(gen))
+        assert gen.generated == 2 * seq.attach_count  # one distinct pair per graft
+        assert sample == couple_reduce(seq, R(3, 0))
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [("-+", NotReducible), ("+^3", NotReducible), ("+--+-", InvalidSequence)],
+    )
+    def test_rejects_before_any_draw(self, text, error):
+        gen = CountingGenerator(None)
+        with pytest.raises(error):
+            couple_reduce(parse_sequence(text), MonteCarloDriver(gen))
+        assert gen.generated == 0
 
     def test_trace_marker_monotone(self):
         seq = parse_sequence("+^4-^2+-")
