@@ -37,9 +37,9 @@ from .rng import (
     Driver,
     MonteCarloDriver,
     RngStream,
+    StreamRange,
     _as_driver,
     index_block,
-    stream_drivers,
 )
 from .sequences import ChoiceSequence, Step, require_valid
 
@@ -280,7 +280,7 @@ def _graft_rows(
 
 
 def couple_reduce_heights(
-    seq: ChoiceSequence, drivers: list[MonteCarloDriver]
+    seq: ChoiceSequence, drivers: list[MonteCarloDriver] | StreamRange
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(height_x, height_xhat)`` arrays of len(drivers) joint runs: entry r
     equals ``couple_reduce(seq, drivers[r])``, drawn from the same uniforms in
@@ -331,13 +331,14 @@ def couple_reduce_samples(
     """``[couple_reduce(seq, RngStream(master_seed, i)) for i in range(replicas)]``
     through :func:`couple_reduce_heights`, in batches of at most
     ``forward.MAX_BATCH`` replicas whose index block holds at most
-    ``forward.INDEX_BLOCK`` entries (or one replica's draws)."""
+    ``forward.INDEX_BLOCK`` entries (or one replica's draws).  Each batch is a
+    ``StreamRange``, drawn through ``uniform_rows``."""
     draws = len(_reduce_sizes(seq, _reducible_run(seq)))
     per_batch = max(1, min(forward.MAX_BATCH, forward.INDEX_BLOCK // draws))
     samples = []
     for start in range(0, replicas, per_batch):
-        drivers = stream_drivers(master_seed, start, min(start + per_batch, replicas))
-        height_x, height_xhat = couple_reduce_heights(seq, drivers)
+        batch = StreamRange(master_seed, start, min(start + per_batch, replicas))
+        height_x, height_xhat = couple_reduce_heights(seq, batch)
         samples += map(CoupledSample, height_x.tolist(), height_xhat.tolist())
     return samples
 

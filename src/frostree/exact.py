@@ -26,7 +26,7 @@ from .rng import law_of
 from .sequences import ChoiceSequence, Step, attach_run, is_valid, require_valid
 
 DEFAULT_STATE_CAP = 10_000_000
-DEFAULT_REVERSE_LENGTH_CAP = 8
+DEFAULT_REVERSE_LENGTH_CAP = 12  # +^12, the slowest length-12 case, takes about 20 ms
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ the oracle).  ``forward_heights`` runs a batch of replicas, one
 ``MonteCarloDriver`` each, with one numpy step for the whole batch: every
 replica has exactly s_j actives after step j, so the batch state is a
 rectangular array.  It draws exactly what ``forward_height`` draws per driver.
+A freeze-free batch draws one index block, so it may also be a
+``StreamRange`` of fresh streams.
 """
 
 from __future__ import annotations
@@ -20,7 +22,15 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidSequence
-from .rng import Driver, MonteCarloDriver, RngStream, _as_driver, index_block
+from .rng import (
+    Driver,
+    MonteCarloDriver,
+    RngStream,
+    StreamRange,
+    _as_driver,
+    index_block,
+    stream_drivers,
+)
 from .sequences import ChoiceSequence, Step, require_valid
 from .tree import Status, TreeArena
 
@@ -135,7 +145,9 @@ def batch_replicas(seq: ChoiceSequence) -> int:
     return max(1, min(MAX_BATCH, per_batch))
 
 
-def forward_heights(seq: ChoiceSequence, drivers: list[MonteCarloDriver]) -> np.ndarray:
+def forward_heights(
+    seq: ChoiceSequence, drivers: list[MonteCarloDriver] | StreamRange
+) -> np.ndarray:
     """Heights of len(drivers) forward builds: entry r equals
     ``forward_height(seq, drivers[r])``, drawn from the same uniforms in the
     same order.  Batches of ``batch_replicas(seq)`` drivers keep the memory
@@ -143,6 +155,9 @@ def forward_heights(seq: ChoiceSequence, drivers: list[MonteCarloDriver]) -> np.
     require_valid(seq)
     if seq.freeze_count == 0:
         return rrt_batch_depths(len(seq), drivers).max(axis=1)
+    if isinstance(drivers, StreamRange):
+        # time blocks continue each stream, so every row keeps a driver
+        drivers = stream_drivers(drivers.master_seed, drivers.start, drivers.stop)
 
     replicas = len(drivers)
     s_values = seq.walk.s_values
@@ -183,7 +198,7 @@ def forward_heights(seq: ChoiceSequence, drivers: list[MonteCarloDriver]) -> np.
 # Freeze-free shortcuts
 
 
-def _depths_from_parents(parents: np.ndarray) -> np.ndarray:
+def depths_from_parents(parents: np.ndarray) -> np.ndarray:
     """Depths of the n + 1 vertices of each of R trees, from the (R, n) array
     whose entry [r, v - 1] is the parent of vertex v in tree r.
 
@@ -210,10 +225,10 @@ def _depths_from_parents(parents: np.ndarray) -> np.ndarray:
         anc, spare = spare, anc
 
 
-def rrt_batch_depths(n: int, drivers: list[MonteCarloDriver]) -> np.ndarray:
+def rrt_batch_depths(n: int, drivers: list[MonteCarloDriver] | StreamRange) -> np.ndarray:
     """``(len(drivers), n + 1)`` depths of n-edge recursive trees, row r drawn
     from drivers[r] as build_forward draws on n attachments."""
-    return _depths_from_parents(index_block(drivers, np.arange(1, n + 1)))
+    return depths_from_parents(index_block(drivers, np.arange(1, n + 1)))
 
 
 def sample_rrt(n: int, rng: RngStream | Driver) -> TreeArena:
@@ -225,7 +240,7 @@ def sample_rrt(n: int, rng: RngStream | Driver) -> TreeArena:
     if n < 0:
         raise ValueError("n must be nonnegative")
     parents = _as_driver(rng).indices(np.arange(1, n + 1))
-    depths = _depths_from_parents(parents[None])[0]
+    depths = depths_from_parents(parents[None])[0]
     return TreeArena(
         parents=[-1] + parents.tolist(),
         depths=depths.tolist(),

@@ -7,9 +7,10 @@ by commutative addition, so a run's output is a pure function of
 ``run_mc`` cuts the replicas into batches of ``forward.batch_replicas(seq)``
 and runs each batch through ``forward.forward_heights``: one numpy step per
 sequence step for the whole batch, or, for a freeze-free sequence, one pointer
-doubling over the batch's parent arrays.  A batched step has a fixed cost
-whatever the batch width, so splitting a batch over processes saves little;
-the pool starts only when every worker gets at least two batches.
+doubling over the batch's parent arrays, drawn as one ``uniform_rows`` block.
+A batched step has a fixed cost whatever the batch width, so splitting a batch
+over processes saves little; the pool starts only when every worker gets at
+least two batches.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, InvalidSequence
-from .forward import batch_replicas, forward_heights, rrt_batch_depths
-from .rng import stream_drivers
+from .forward import batch_replicas, depths_from_parents, forward_heights
+from .rng import StreamRange, index_block
 from .sequences import ChoiceSequence, attach_run, classify, parse_sequence, require_valid
 
 
@@ -118,8 +119,8 @@ def _replica_heights(
     per_batch = batch_replicas(seq)
     counts: dict[int, int] = {}
     for first in range(start, stop, per_batch):
-        drivers = stream_drivers(master_seed, first, min(first + per_batch, stop))
-        heights, tally = np.unique(forward_heights(seq, drivers), return_counts=True)
+        batch = StreamRange(master_seed, first, min(first + per_batch, stop))
+        heights, tally = np.unique(forward_heights(seq, batch), return_counts=True)
         for h, c in zip(heights.tolist(), tally.tolist()):
             counts[h] = counts.get(h, 0) + c
     return counts
@@ -321,12 +322,15 @@ def walk_gap_growth(
             raise ValueError("tree sizes must be at least 1")
         total = 0
         per_batch = batch_replicas(attach_run(m))
+        # each stream draws its tree's m parents, then distinct_pair(m + 1)
+        sizes = np.append(np.arange(1, m + 2), m)
         for first in range(j * replicas, (j + 1) * replicas, per_batch):
             stop = min(first + per_batch, (j + 1) * replicas)
-            drivers = stream_drivers(master_seed, first, stop)
-            # each driver draws its tree's parents, then its pair
-            for driver, depths in zip(drivers, rrt_batch_depths(m, drivers).tolist()):
-                u, v = driver.distinct_pair(m + 1)
-                total += abs(depths[u] - depths[v])
+            drawn = index_block(StreamRange(master_seed, first, stop), sizes)
+            depths = depths_from_parents(drawn[:, :m])
+            rows = np.arange(stop - first)
+            u, r = drawn[:, m], drawn[:, m + 1]
+            v = r + (r >= u)
+            total += int(np.abs(depths[rows, u] - depths[rows, v]).sum())
         out.append((m, total / replicas))
     return out

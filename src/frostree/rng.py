@@ -13,6 +13,15 @@ replays the same construction over every possible choice path, yielding exact
 rational weights.  Running one function under both drivers is how sampled laws
 get certified against exact ones.  This module is the only place where a
 uniform float becomes an index.
+
+Stream ``(master_seed, i)`` is numpy's ``SeedSequence(master_seed,
+spawn_key=(i,))`` feeding a PCG64 generator.  A batch of fresh streams that
+draws a fixed number of uniforms per replica (a ``StreamRange``) skips the
+per-replica ``SeedSequence``: ``uniform_rows`` hashes all its keys at once with
+a vectorized copy of numpy's seeding (O'Neill's ``seed_seq_fe`` with a pool of
+four words, then PCG64's ``srandom``) and sets each row's state on one reused
+generator.  numpy itself is the test oracle, so a numpy release that changed
+its seeding would fail the tests rather than silently change reports.
 """
 
 from __future__ import annotations
@@ -24,7 +33,14 @@ from typing import Callable, Iterator, Sequence, TypeVar
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_BLOCK = 4096  # uniforms drawn per MonteCarloDriver refill
+_FIRST_REFILL = 64  # uniforms in a MonteCarloDriver's first refill; each next one doubles
+_BLOCK = 4096  # uniforms in a MonteCarloDriver's largest refill
+
+
+def _checked_seed(master_seed: int) -> int:
+    if master_seed < 0:
+        raise ValueError(f"master seed must be nonnegative, got {master_seed}")
+    return master_seed & _MASK64
 
 
 @dataclass(frozen=True)
@@ -41,8 +57,7 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        if self.master_seed < 0:
-            raise ValueError(f"master seed must be nonnegative, got {self.master_seed}")
+        _checked_seed(self.master_seed)
 
     def generator(self) -> np.random.Generator:
         seed_seq = np.random.SeedSequence(
@@ -85,7 +100,9 @@ class MonteCarloDriver(_ChoiceDriver):
         buf = self._buf
         pos = self._pos
         if pos == len(buf):
-            buf = self._buf = self._gen.random(_BLOCK)
+            # refills double from 64, so a short run generates few unused uniforms
+            size = min(max(2 * len(buf), _FIRST_REFILL), _BLOCK)
+            buf = self._buf = self._gen.random(size)
             pos = 0
         self._pos = pos + 1
         return buf[pos]
@@ -120,18 +137,158 @@ def stream_drivers(master_seed: int, start: int, stop: int) -> list[MonteCarloDr
     return [MonteCarloDriver(RngStream(master_seed, i)) for i in range(start, stop)]
 
 
-def index_block(drivers: Sequence[MonteCarloDriver], sizes: np.ndarray) -> np.ndarray:
-    """``(len(drivers), len(sizes))`` int64 array whose row r holds
-    ``drivers[r].indices(sizes)``: each row takes its driver's next uniforms,
-    and one ``floor(u * k)`` map (clamped to ``k - 1``) covers the block."""
-    if len(sizes) and sizes.min() <= 0:
-        raise ValueError("indices() needs positive option counts")
-    u = np.empty((len(drivers), len(sizes)))
-    for r, driver in enumerate(drivers):
-        u[r] = driver.uniform_block(len(sizes))
+@dataclass(frozen=True)
+class StreamRange:
+    """The streams (master_seed, i), start <= i < stop, before their first
+    draw: a batch of fresh replicas that takes one fixed-count index block.
+
+    ``index_block`` draws its rows through ``uniform_rows``, with no driver
+    per replica.  A batch that draws in several blocks needs its
+    ``stream_drivers`` instead, since each block continues every stream."""
+
+    master_seed: int
+    start: int
+    stop: int
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+
+def _to_indices(u: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``min(floor(u * k), k - 1)`` with k the column's entry of sizes; scales u in place."""
     u *= sizes
     out = u.astype(np.int64)
     return np.minimum(out, sizes - 1, out=out)
+
+
+def _check_sizes(sizes: np.ndarray) -> None:
+    if len(sizes) and sizes.min() <= 0:
+        raise ValueError("indices() needs positive option counts")
+
+
+def index_block(
+    rows: Sequence[MonteCarloDriver] | StreamRange, sizes: np.ndarray
+) -> np.ndarray:
+    """``(len(rows), len(sizes))`` int64 array whose row r holds
+    ``rows[r].indices(sizes)``: each row takes its driver's next uniforms,
+    and one ``floor(u * k)`` map (clamped to ``k - 1``) covers the block.
+    For a StreamRange this is ``index_rows`` of its streams."""
+    if isinstance(rows, StreamRange):
+        return index_rows(rows.master_seed, rows.start, rows.stop, sizes)
+    _check_sizes(sizes)
+    u = np.empty((len(rows), len(sizes)))
+    for r, driver in enumerate(rows):
+        u[r] = driver.uniform_block(len(sizes))
+    return _to_indices(u, sizes)
+
+
+def index_rows(master_seed: int, start: int, stop: int, sizes: np.ndarray) -> np.ndarray:
+    """``index_block(stream_drivers(master_seed, start, stop), sizes)``, drawn
+    through ``uniform_rows``."""
+    _check_sizes(sizes)
+    return _to_indices(uniform_rows(master_seed, start, stop, len(sizes)), sizes)
+
+
+# --------------------------------------------------------------------------
+# Vectorized stream seeding
+
+# numpy's SeedSequence (O'Neill's seed_seq_fe) on 32-bit words
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy mixing
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # state generation
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _chain(h: int, mult: int, count: int) -> list[int]:
+    """h and the count hash constants after it: seed_seq_fe multiplies its
+    constant by mult at every hash, so the constants depend on no data."""
+    chain = [h]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & _M32)
+    return chain
+
+
+def _columns(chain: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, mul) constants of the len(chain) - 1 hashes along chain, as
+    uint64 columns that hash one value into as many lanes."""
+    return (
+        np.array(chain[:-1], dtype=np.uint64)[:, None],
+        np.array(chain[1:], dtype=np.uint64)[:, None],
+    )
+
+
+def _hash(value, xor, mul):
+    """seed_seq_fe's hash: value xored with the current constant, times the
+    next one.  Operands are 32-bit ints or uint64 arrays of them; every
+    product of two 32-bit words fits a uint64 lane, and the mask takes it
+    mod 2^32."""
+    value = (value ^ xor) * mul & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    # x, y < 2^32: the uint64 difference wraps mod 2^64, which the mask reduces mod 2^32
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _stream_words(master_seed: int, keys: np.ndarray) -> np.ndarray:
+    """``(len(keys), 4)`` uint64 array whose row j equals
+    ``SeedSequence(master_seed, spawn_key=(keys[j],)).generate_state(4, np.uint64)``,
+    for master_seed < 2^64 and uint64 keys.
+
+    The entropy is the master seed's two 32-bit words padded with zeros to
+    the pool size, then the key's words (one below 2^32, else two).  The pool
+    after the first four words is the same for every key, so it is mixed
+    once; each key word then goes into all four pool words of all keys at
+    once, as a (4, len(keys)) array."""
+    a = _chain(_INIT_A, _MULT_A, 24)  # 16 hashes for the pool, 4 per key word
+    hashes = zip(a, a[1:])
+    pool = [_hash(word, *next(hashes)) for word in (master_seed & _M32, master_seed >> 32, 0, 0)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(hashes)))
+    lanes = np.array(pool, dtype=np.uint64)[:, None].repeat(len(keys), axis=1)
+    high = keys >> 32
+    for word, rows, first in ((keys & _M32, slice(None), 16), (high, high > 0, 20)):
+        lanes[:, rows] = _mix(lanes[:, rows], _hash(word[rows], *_columns(a[first : first + 5])))
+    # generate_state: 8 words from the cycled pool, paired little-endian
+    words = _hash(np.tile(lanes, (2, 1)), *_columns(_chain(_INIT_B, _MULT_B, 8)))
+    return (words[0::2] | words[1::2] << 32).T
+
+
+def uniform_rows(master_seed: int, start: int, stop: int, count: int) -> np.ndarray:
+    """``(stop - start, count)`` float64 block whose row i - start holds the
+    first count uniforms of ``RngStream(master_seed, i)``, bit for bit.
+
+    The streams' PCG64 states come from one vectorized hash of their keys
+    (``_stream_words``); each is set on one reused generator, which fills
+    its row.  Master seeds are masked to 64 bits as ``RngStream`` masks them."""
+    master_seed = _checked_seed(master_seed)
+    if not 0 <= start <= stop:
+        raise ValueError(f"need 0 <= start <= stop, got start={start}, stop={stop}")
+    if stop > 1 << 64:
+        raise ValueError(f"stream indices must be below 2^64, got stop={stop}")
+    if count < 0:
+        raise ValueError(f"uniform count must be nonnegative, got {count}")
+    out = np.empty((stop - start, count))
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    pcg = state["state"]
+    keys = np.fromiter(range(start, stop), np.uint64, stop - start)
+    for row, (v0, v1, v2, v3) in zip(out, _stream_words(master_seed, keys).tolist()):
+        # PCG64 srandom: inc from words 2-3, state from words 0-1 and two LCG steps
+        inc = ((v2 << 64 | v3) << 1 | 1) & _MASK128
+        pcg["inc"] = inc
+        pcg["state"] = ((inc + (v0 << 64 | v1)) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = state
+        generator.random(out=row)
+    return out
 
 
 class ExhaustiveDriver(_ChoiceDriver):

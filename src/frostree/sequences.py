@@ -13,11 +13,12 @@ validity check and every sampling kernel reads that cached walk.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -75,7 +76,7 @@ class ChoiceSequence:
 
     @cached_property
     def _flags(self) -> tuple[bool, ...]:
-        return tuple(s is Step.ATTACH for s in self.steps)
+        return tuple(map(operator.is_, self.steps, repeat(Step.ATTACH)))
 
     @cached_property
     def walk(self) -> "WalkProfile":
@@ -197,6 +198,7 @@ def _parse_term(text: str, pos: int, out: list[Step], enclosing: int) -> int:
 
 
 _RUN = re.compile(r"([+-])\1+")  # a maximal run of two or more equal steps
+_STEP_CHARS = bytes.maketrans(b"\0\1", b"-+")
 
 
 def render_sequence(seq: ChoiceSequence) -> str:
@@ -205,7 +207,7 @@ def render_sequence(seq: ChoiceSequence) -> str:
     ``parse_sequence(render_sequence(s)) == s`` for every non-empty sequence
     (the empty sequence renders as "", which the grammar does not accept).
     """
-    raw = "".join(map("-+".__getitem__, seq.attach_flags()))
+    raw = bytes(seq.attach_flags()).translate(_STEP_CHARS).decode()
     return _RUN.sub(lambda run: f"{run[1]}^{len(run[0])}", raw)
 
 

@@ -26,7 +26,7 @@ from frostree import (
 from frostree import coupling, forward, montecarlo
 from frostree.coupling import couple_reduce_heights, couple_reduce_samples
 from frostree.forward import batch_replicas, forward_heights
-from frostree.rng import index_block
+from frostree.rng import StreamRange, index_block
 
 
 def drivers(seed, start, stop):
@@ -296,3 +296,64 @@ def test_reduce_batches_keep_the_index_block_budget(monkeypatch, index_block_ent
         assert rows * width <= max(index_block_entries, draws)
     want = [couple_reduce(seq, RngStream(9, i)) for i in range(23)]
     assert samples == want
+
+
+# --------------------------------------------------------------------------
+# Batches of fresh streams (StreamRange) against the one-replica oracles
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seq=valid_sequences(),
+    seed=st.one_of(st.integers(0, 2**32), st.integers(2**64 - 5, 2**65)),
+    start=st.one_of(st.integers(0, 10**6), st.integers(2**32 - 8, 2**32 + 8)),
+    replicas=st.integers(1, 9),
+    block=st.sampled_from([1, 5, 1 << 16]),
+)
+def test_stream_range_batch_equals_scalar_per_replica(seq, seed, start, replicas, block):
+    stop = start + replicas
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forward, "INDEX_BLOCK", block)
+        got = forward_heights(seq, StreamRange(seed, start, stop)).tolist()
+    assert got == [forward_height(seq, RngStream(seed, i)) for i in range(start, stop)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seq=reducible_walks(),
+    seed=st.one_of(st.integers(0, 2**32), st.integers(2**64 - 5, 2**65)),
+    replicas=st.integers(1, 30),
+    budget=st.sampled_from([(4, 256), (60, 5), (1 << 16, 256)]),
+)
+def test_reduce_samples_equal_scalar_per_replica(seq, seed, replicas, budget):
+    with pytest.MonkeyPatch.context() as mp:
+        shrink_budgets(mp, index_block=budget[0], max_batch=budget[1])
+        got = couple_reduce_samples(seq, replicas, seed)
+    assert got == [couple_reduce(seq, RngStream(seed, i)) for i in range(replicas)]
+
+
+def gap_growth_per_replica(m_values, replicas, seed):
+    out = []
+    for j, m in enumerate(m_values):
+        total = 0
+        for r in range(replicas):
+            driver = MonteCarloDriver(RngStream(seed, j * replicas + r))
+            depths = sample_rrt(m, driver).depths
+            u, v = driver.distinct_pair(m + 1)
+            total += abs(depths[u] - depths[v])
+        out.append((m, total / replicas))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m_values=st.lists(st.integers(1, 80), min_size=1, max_size=4, unique=True).map(sorted),
+    replicas=st.integers(1, 12),
+    seed=st.integers(0, 2**64),
+    index_block_entries=st.sampled_from([1, 50, 1 << 16]),
+)
+def test_walk_gap_growth_equals_scalar_per_replica(m_values, replicas, seed, index_block_entries):
+    with pytest.MonkeyPatch.context() as mp:
+        shrink_budgets(mp, index_block=index_block_entries)
+        got = walk_gap_growth(m_values, replicas, seed)
+    assert got == gap_growth_per_replica(m_values, replicas, seed)

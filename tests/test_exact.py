@@ -183,10 +183,21 @@ class TestReverseDistribution:
 
     def test_length_cap(self):
         with pytest.raises(StateSpaceExceeded):
-            exact_height_distribution_reverse(attach_run(9))
+            exact_height_distribution_reverse(attach_run(13))
         # explicit cap override allows longer runs
-        law = exact_height_distribution_reverse(attach_run(9), length_cap=9)
-        assert law.mass(1) == Fraction(1, math.factorial(9))
+        law = exact_height_distribution_reverse(attach_run(13), length_cap=13)
+        assert law.mass(1) == Fraction(1, math.factorial(13))
+
+    @pytest.mark.parametrize("length", [9, 10, 11, 12])
+    def test_matches_forward_past_length_8_with_freezes(self, length):
+        # every valid sequence up to length 8 is checked by acceptance criterion 01;
+        # here four spread-out members per length from 9 to the default cap
+        members = [s for s in iter_valid_sequences(length) if s.freeze_count]
+        for seq in members[:: len(members) // 4][:4]:
+            assert (
+                exact_height_distribution_reverse(seq).masses
+                == exact_height_distribution_forward(seq).masses
+            )
 
 
 class TestHeightDistribution:

@@ -7,9 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frostree import ExhaustiveDriver, MonteCarloDriver, RngStream, law_of
+from frostree.rng import (
+    StreamRange,
+    _stream_words,
+    index_block,
+    index_rows,
+    stream_drivers,
+    uniform_rows,
+)
 
 # draws taken before indices(): from a fresh buffer, or close enough to the
-# end of the first 4096-uniform block that the batch crosses the refill
+# end of the refills doubling from 64 to 2048 (4032 uniforms) that the batch
+# crosses a refill
 consumed = st.one_of(st.integers(0, 40), st.integers(4000, 4096))
 
 
@@ -60,3 +69,125 @@ class TestIndices:
 def test_negative_master_seed_rejected():
     with pytest.raises(ValueError):
         RngStream(-1, 0)
+
+
+# --------------------------------------------------------------------------
+# MonteCarloDriver refills
+
+
+class RecordingGenerator:
+    def __init__(self, gen):
+        self.gen = gen
+        self.sizes = []
+
+    def random(self, n):
+        self.sizes.append(n)
+        return self.gen.random(n)
+
+
+def test_refills_double_from_64_to_4096():
+    gen = RecordingGenerator(RngStream(2, 9).generator())
+    driver = MonteCarloDriver(gen)
+    for _ in range(64 + 128 + 256 + 512 + 1024 + 2048 + 4096 + 1):
+        driver.index(3)
+    assert gen.sizes == [64, 128, 256, 512, 1024, 2048, 4096, 4096]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 10**6), st.integers(0, 9000), st.integers(0, 99))
+def test_fresh_driver_index_is_floor_of_generator_uniforms(seed, stream, n, k_seed):
+    ks = np.random.default_rng(k_seed).integers(1, 10**6, n).tolist()
+    driver = MonteCarloDriver(RngStream(seed, stream))
+    uniforms = RngStream(seed, stream).generator().random(n).tolist()
+    # n up to 9000 crosses every refill boundary from 64 to the second 4096
+    assert [driver.index(k) for k in ks] == [min(int(u * k), k - 1) for u, k in zip(uniforms, ks)]
+
+
+# --------------------------------------------------------------------------
+# Vectorized stream seeding against numpy's SeedSequence and PCG64
+
+
+@pytest.mark.parametrize("lane, master_seed", enumerate([0, 1, 2**32 + 7, 2**64 - 1]))
+def test_stream_words_equal_seed_sequence_states(lane, master_seed):
+    # the four seeds share keys 0..10^6 (every fourth each) and 1000 keys of two words
+    high = np.random.default_rng(lane).integers(2**32, 2**64, 996, dtype=np.uint64)
+    keys = np.concatenate(
+        [
+            np.arange(lane, 10**6, 4, dtype=np.uint64),
+            np.array([2**32 - 1, 2**32, 2**33 + lane, 2**64 - 1], dtype=np.uint64),
+            high,
+        ]
+    )
+    want = np.empty((len(keys), 4), dtype=np.uint64)
+    for j, key in enumerate(keys.tolist()):
+        want[j] = np.random.SeedSequence(master_seed, spawn_key=(key,)).generate_state(
+            4, np.uint64
+        )
+    assert (_stream_words(master_seed, keys) == want).all()
+
+
+@pytest.mark.parametrize(
+    "master_seed, start, count",
+    [(0, 0, 1), (2**32 + 7, 2**32 - 5000, 40), (2**64 - 1, 10**6, 101)],
+)
+def test_uniform_rows_equal_stream_draws(master_seed, start, count):
+    stop = start + 10**4
+    want = np.array([RngStream(master_seed, i).generator().random(count) for i in range(start, stop)])
+    got = uniform_rows(master_seed, start, stop, count)
+    assert got.shape == (10**4, count) and got.dtype == np.float64
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**70),
+    st.one_of(st.integers(0, 10**6), st.integers(2**32 - 20, 2**32 + 20)),
+    st.integers(0, 20),
+    st.lists(st.integers(1, 10**9), max_size=300),
+)
+def test_index_rows_equal_index_block_of_stream_drivers(master_seed, start, replicas, sizes):
+    sizes = np.array(sizes, dtype=np.int64)
+    stop = start + replicas
+    want = index_block(stream_drivers(master_seed, start, stop), sizes)
+    got = index_rows(master_seed, start, stop, sizes)
+    assert got.dtype == np.int64 and got.shape == (replicas, len(sizes))
+    assert np.array_equal(got, want)
+    assert np.array_equal(index_block(StreamRange(master_seed, start, stop), sizes), want)
+
+
+class TestUniformRowsInput:
+    def test_negative_master_seed_raises_as_rng_stream_does(self):
+        with pytest.raises(ValueError) as stream:
+            RngStream(-3, 0)
+        with pytest.raises(ValueError) as rows:
+            uniform_rows(-3, 0, 2, 4)
+        assert str(rows.value) == str(stream.value)
+        with pytest.raises(ValueError):
+            index_rows(-3, 0, 2, np.array([2]))
+
+    def test_master_seed_masked_to_64_bits(self):
+        want = np.array([RngStream(2**64 + 3, i).generator().random(6) for i in range(5)])
+        assert np.array_equal(uniform_rows(2**64 + 3, 0, 5, 6), want)
+        assert np.array_equal(uniform_rows(3, 0, 5, 6), want)
+
+    @pytest.mark.parametrize("start, stop, count", [(5, 4, 3), (-1, 2, 3), (0, 2, -1), (0, 2**64 + 1, 1)])
+    def test_bad_ranges_and_counts_rejected(self, start, stop, count):
+        with pytest.raises(ValueError):
+            uniform_rows(0, start, stop, count)
+
+    def test_nonpositive_sizes_rejected(self):
+        with pytest.raises(ValueError):
+            index_rows(0, 0, 2, np.array([2, 0]))
+
+    def test_zero_count_and_empty_range(self):
+        assert uniform_rows(1, 3, 7, 0).shape == (4, 0)
+        assert uniform_rows(1, 3, 3, 5).shape == (0, 5)
+        assert uniform_rows(1, 2**64, 2**64, 5).shape == (0, 5)
+        assert index_rows(1, 3, 7, np.array([], dtype=np.int64)).shape == (4, 0)
+
+    def test_keys_of_two_words(self):
+        start, stop = 2**32 - 2, 2**32 + 2
+        want = np.array([RngStream(7, i).generator().random(5) for i in range(start, stop)])
+        assert np.array_equal(uniform_rows(7, start, stop, 5), want)
+        last = RngStream(7, 2**64 - 1).generator().random(3)
+        assert np.array_equal(uniform_rows(7, 2**64 - 1, 2**64, 3)[0], last)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frostree import sequences
@@ -88,6 +88,26 @@ class TestParse:
     def test_parse_render_round_trip(self, signs):
         s = ChoiceSequence.from_signs(signs)
         assert parse_sequence(render_sequence(s)) == s
+
+    @settings(max_examples=2, deadline=None)
+    @given(
+        st.sampled_from("+-"),
+        st.integers(int(0.9 * sequences.MAX_STEPS), sequences.MAX_STEPS),
+        st.lists(st.integers(0, 10**6), min_size=1, max_size=7),
+    )
+    def test_round_trip_near_the_step_cap(self, first, total, cuts):
+        # runs of a million steps or more, alternating in sign, that add up to
+        # within 10 % of the cap: the parser builds the one 10^7-step sequence
+        extra = total - (len(cuts) + 1) * 10**6
+        bounds = [0, *sorted(c * extra // 10**6 for c in cuts), extra]
+        runs = [10**6 + b - a for a, b in zip(bounds, bounds[1:])]
+        signs = [first, "+" if first == "-" else "-"] * len(runs)
+        text = "".join(f"{sign}^{run}" for sign, run in zip(signs, runs))
+        s = parse_sequence(text)
+        assert len(s) == total
+        assert s.attach_count == sum(runs[first == "-" :: 2])
+        # render(s) == text, so parse(render(s)) == parse(text) == s
+        assert render_sequence(s) == text
 
 
 class TestWalk:
