@@ -18,7 +18,7 @@ from frostree import (
     couple_prop_ii,
     couple_prop_iii,
     couple_reduce,
-    exhaust,
+    law_of,
     parse_sequence,
     reduce_once,
     reduce_to_prefix,
@@ -42,11 +42,15 @@ print(f"  zero violations; largest observed gap {worst}")
 
 print()
 print("=== exhaustive joint law of (height, reduced height) for ++-+-- ===")
-joint: dict[tuple[int, int], Fraction] = {}
 small = parse_sequence("++-+--")
-for s, w in exhaust(lambda d: couple_reduce(small, d)):
-    joint[(s.height_x, s.height_xhat)] = joint.get((s.height_x, s.height_xhat), Fraction(0)) + w
-for (hx, hxh), p in sorted(joint.items()):
+
+
+def joint_heights(driver):
+    s = couple_reduce(small, driver)
+    return s.height_x, s.height_xhat
+
+
+for (hx, hxh), p in sorted(law_of(joint_heights).items()):
     print(f"  P(height={hx}, reduced={hxh}) = {p}")
 
 print()
@@ -66,10 +70,8 @@ for case in FreezeCase:
 print()
 print("=== attach removal: exact mean identity at small n ===")
 for n in (2, 3, 4):
-    mean_xhat = Fraction(0)
-    mean_rrt = Fraction(0)
-    for (hx, hxh, hrrt), w in exhaust(lambda d: couple_prop_iii(n, d)):
-        mean_xhat += hxh * w
-        mean_rrt += hrrt * w
+    law = law_of(lambda d: couple_prop_iii(n, d))
+    mean_xhat = sum(hxh * w for (_, hxh, _), w in law.items())
+    mean_rrt = sum(hrrt * w for (_, _, hrrt), w in law.items())
     print(f"  n={n}: E[reduced height] = {mean_xhat} = E[plain height] + 1/2 "
           f"({mean_rrt} + 1/2): {mean_xhat == mean_rrt + Fraction(1, 2)}")

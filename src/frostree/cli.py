@@ -37,7 +37,7 @@ from .montecarlo import (
     height_threshold,
     run_mc,
 )
-from .rng import RngStream, exhaust
+from .rng import RngStream, law_of
 from .sequences import parse_sequence
 
 
@@ -140,8 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="Bernoulli-sum tail bound")
     p.add_argument("--mean-sum", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out", default=None)
+    common(p, seq=False)
     p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("theorem", help="height floor check at e ln n - 5 ln ln n")
@@ -185,10 +184,6 @@ def _frac_obj(value: Fraction) -> dict:
     return {"num": value.numerator, "den": value.denominator}
 
 
-def _law_from_masses(masses: dict[int, Fraction]) -> dict:
-    return HeightDistribution.from_exact(masses).to_json_obj()
-
-
 def _cmd_simulate(args: argparse.Namespace) -> str:
     seq = parse_sequence(args.seq)
     if args.dump_tree:
@@ -201,15 +196,9 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
 def _cmd_exact(args: argparse.Namespace) -> str:
     seq = parse_sequence(args.seq)
     construction = args.construction
-    if construction == "forward":
-        dist = exact_height_distribution_forward(seq)
-        equal = None
-    elif construction == "reverse":
-        dist = exact_height_distribution_reverse(seq)
-        equal = None
-    else:
-        dist = exact_height_distribution_forward(seq)
-        equal = dist == exact_height_distribution_reverse(seq)
+    forward, reverse = exact_height_distribution_forward, exact_height_distribution_reverse
+    dist = (reverse if construction == "reverse" else forward)(seq)
+    equal = dist == reverse(seq) if construction == "both" else None
     if args.format == "csv":
         text = dist.to_csv()
         if equal is not None:
@@ -229,6 +218,8 @@ def _reduce_seq(args: argparse.Namespace):
 
 
 def _couple_sampler(which: str, args: argparse.Namespace):
+    """fn(src) -> one coupled draw: a CoupledSample, or for prop_iii the
+    heights (x, xhat, rrt)."""
     if which == "reduce":
         seq = _reduce_seq(args)
         return lambda src: couple_reduce(seq, src)
@@ -242,63 +233,50 @@ def _couple_sampler(which: str, args: argparse.Namespace):
     return lambda src: couple_prop_iii(args.n, src)
 
 
+def _heights(draw: CoupledSample | tuple[int, int, int]) -> tuple[int, ...]:
+    """A coupled draw's heights: (x, xhat), or prop_iii's (x, xhat, rrt)."""
+    return draw if isinstance(draw, tuple) else (draw.height_x, draw.height_xhat)
+
+
+def _couple_enumerate(args: argparse.Namespace) -> str:
+    """Exact laws of the coupled heights: the marginals of one joint law."""
+    sampler = _couple_sampler(args.which, args)
+    joint = law_of(lambda d: _heights(sampler(d)))
+    masses: dict[str, dict[int, Fraction]] = {}
+    for heights, p in joint.items():
+        for name, h in zip(("height_x", "height_xhat", "height_rrt"), heights):
+            law = masses.setdefault(name, {})
+            law[h] = law.get(h, Fraction(0)) + p
+    if args.format == "csv":
+        lines = ["law,height,mass_num,mass_den"]
+        for name, law in masses.items():
+            for h, p in sorted(law.items()):
+                lines.append(f"{name},{h},{p.numerator},{p.denominator}")
+        return "\n".join(lines) + "\n"
+    laws = {name: HeightDistribution.from_exact(law) for name, law in masses.items()}
+    obj = {"which": args.which, "mode": "enumerate"}
+    obj.update((f"{name}_law", law.to_json_obj()) for name, law in laws.items())
+    if args.which == "prop_iii":
+        obj["mean_height_xhat"] = _frac_obj(laws["height_xhat"].mean())
+        obj["mean_height_rrt"] = _frac_obj(laws["height_rrt"].mean())
+    if args.which == "reduce":
+        violations = sum((p for (hx, hxh), p in joint.items() if hxh > hx), Fraction(0))
+        obj["pathwise_violation_mass"] = _frac_obj(violations)
+    return _json(obj)
+
+
 def _cmd_couple(args: argparse.Namespace) -> str:
     if args.mode == "enumerate":
-        sampler = _couple_sampler(args.which, args)
-        law_x: dict[int, Fraction] = {}
-        law_xhat: dict[int, Fraction] = {}
-        law_rrt: dict[int, Fraction] = {}
-        violations = Fraction(0)
-        for sample, weight in exhaust(sampler):
-            if args.which == "prop_iii":
-                hx, hxh, hrrt = sample
-                law_rrt[hrrt] = law_rrt.get(hrrt, Fraction(0)) + weight
-            else:
-                hx, hxh = sample.height_x, sample.height_xhat
-            law_x[hx] = law_x.get(hx, Fraction(0)) + weight
-            law_xhat[hxh] = law_xhat.get(hxh, Fraction(0)) + weight
-            if args.which == "reduce" and hxh > hx:
-                violations += weight
-        obj = {
-            "which": args.which,
-            "mode": "enumerate",
-            "height_x_law": _law_from_masses(law_x),
-            "height_xhat_law": _law_from_masses(law_xhat),
-        }
-        if args.which == "prop_iii":
-            obj["height_rrt_law"] = _law_from_masses(law_rrt)
-            mean_xhat = sum((h * p for h, p in law_xhat.items()), Fraction(0))
-            mean_rrt = sum((h * p for h, p in law_rrt.items()), Fraction(0))
-            obj["mean_height_xhat"] = _frac_obj(mean_xhat)
-            obj["mean_height_rrt"] = _frac_obj(mean_rrt)
-        if args.which == "reduce":
-            obj["pathwise_violation_mass"] = _frac_obj(violations)
-        if args.format == "csv":
-            lines = ["law,height,mass_num,mass_den"]
-            named = [("height_x", law_x), ("height_xhat", law_xhat)]
-            if args.which == "prop_iii":
-                named.append(("height_rrt", law_rrt))
-            for name, law in named:
-                for h in sorted(law):
-                    lines.append(
-                        f"{name},{h},{law[h].numerator},{law[h].denominator}"
-                    )
-            return "\n".join(lines) + "\n"
-        return _json(obj)
-
+        return _couple_enumerate(args)
     if args.replicas < 1:
         raise ValueError("need at least one replica")
     if args.which == "reduce":
         samples = couple_reduce_samples(_reduce_seq(args), args.replicas, args.seed)
     else:
         sampler = _couple_sampler(args.which, args)
-        samples = []
-        for i in range(args.replicas):
-            result = sampler(RngStream(args.seed, i))
-            if args.which == "prop_iii":
-                hx, hxh, _ = result
-                result = CoupledSample(height_x=hx, height_xhat=hxh)
-            samples.append(result)
+        samples = [sampler(RngStream(args.seed, i)) for i in range(args.replicas)]
+        if args.which == "prop_iii":
+            samples = [CoupledSample(hx, hxh) for hx, hxh, _ in samples]
     if args.format == "csv":
         return samples_to_csv(samples)
     rows = [

@@ -13,14 +13,16 @@ Three families of couplings are provided.
   obtained by inserting a freeze+attach (resp. attach+freeze) after an
   attach-run-then-freeze prefix.  Both heights decompose over a shared
   recursive tree with two marked vertices plus two independently grown
-  subtrees whose edge split is uniform.
+  subtrees whose edge split is uniform; one drawing body serves both, and
+  each keeps only its height formulas.
 
 * :func:`couple_prop_iii` couples the attach-insertion pair at the very start
   of the sequence with a plain recursive tree, by cutting the first edge of a
   recursive tree and grafting the two parts onto the surviving actives.
 
 Every operation accepts either an RngStream (Monte Carlo) or a choice driver,
-so exhaustive enumeration certifies the exact identities on small instances.
+so exhaustive enumeration (``rng.law_of``) gives exact joint laws that certify
+the identities on small instances.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .rng import (
     StreamRange,
     _as_driver,
     index_block,
+    pair_second,
 )
 from .sequences import ChoiceSequence, Step, require_valid
 
@@ -82,14 +85,21 @@ def _leading_attach_run(seq: ChoiceSequence) -> int:
     return k
 
 
-def reduce_once(seq: ChoiceSequence) -> ReducedSequence:
-    """Drop the last step of the leading attach run and the freeze after it."""
-    require_valid(seq)
+def _reducible_run(seq: ChoiceSequence) -> int:
+    """The leading attach run k of seq, checked reducible (0 < k < len) and valid."""
     k = _leading_attach_run(seq)
     if k == 0:
         raise NotReducible("sequence starts with a freeze")
     if k == len(seq):
         raise NotReducible("sequence has no freeze step")
+    require_valid(seq)
+    return k
+
+
+def reduce_once(seq: ChoiceSequence) -> ReducedSequence:
+    """Drop the last step of the leading attach run and the freeze after it."""
+    require_valid(seq)  # invalid input fails as invalid before it fails as irreducible
+    k = _reducible_run(seq)
     reduced = ChoiceSequence(seq.steps[: k - 1] + seq.steps[k + 1 :])
     return ReducedSequence(original=seq, reduced=reduced, removed_at=k)
 
@@ -109,29 +119,23 @@ def reduce_to_prefix(seq: ChoiceSequence, r: int) -> ChoiceSequence:
     if r < 0:
         raise ValueError("r must be nonnegative")
     current = seq
-    while _leading_attach_run(current) < r:
-        try:
+    try:
+        if r > seq.walk.max_value - 1:
+            # unreachable (see above): fail at once instead of reducing, which
+            # copies the sequence at every step; invalid input still fails first
+            require_valid(seq)
+            raise NotReducible(f"walk maximum {seq.walk.max_value} is at most r")
+        while _leading_attach_run(current) < r:
             current = reduce_once(current).reduced
-        except NotReducible as exc:
-            raise TargetUnreachable(
-                f"cannot reach a leading attach run of {r} from {seq.text!r}"
-            ) from exc
+    except NotReducible as exc:
+        raise TargetUnreachable(
+            f"cannot reach a leading attach run of {r} from {seq.text!r}"
+        ) from exc
     return current
 
 
 # --------------------------------------------------------------------------
 # Reduction coupling over the reversed construction
-
-
-def _reducible_run(seq: ChoiceSequence) -> int:
-    """The leading attach run k of seq, checked reducible (0 < k < len) and valid."""
-    k = _leading_attach_run(seq)
-    if k == 0:
-        raise NotReducible("sequence starts with a freeze")
-    if k == len(seq):
-        raise NotReducible("sequence has no freeze step")
-    require_valid(seq)
-    return k
 
 
 def _reduce_sizes(seq: ChoiceSequence, k: int) -> np.ndarray:
@@ -187,7 +191,7 @@ def couple_reduce(
     driver = _as_driver(rng)
     k = _reducible_run(seq)
     drawn = driver.indices(_reduce_sizes(seq, k)).tolist()
-    pairs = ((a, r + (r >= a)) for a, r in zip(drawn[::2], drawn[1::2]))
+    pairs = ((a, pair_second(a, r)) for a, r in zip(drawn[::2], drawn[1::2]))
 
     forest = [0] * seq.walk.final
     for step in reversed(seq.steps[k + 1 :]):
@@ -199,14 +203,6 @@ def couple_reduce(
 
     reduced_forest = forest.copy()
     forest.insert(0, 0)  # the spare frozen singleton occupies slot 0
-
-    records: list[CouplingTraceEntry] = []
-
-    def absorb(a: int, b: int) -> None:
-        # one of a, b is the spare's slot 0; the merge lands at max(a, b)
-        t = max(a, b)
-        forest[t] = forest[b] + 1 if a == 0 else max(forest[a], 1)
-        forest.pop(0)
 
     def check_absorption(a: int, b: int) -> None:
         # right after absorption the forests agree slot for slot, except where
@@ -220,28 +216,23 @@ def couple_reduce(
         expected = reduced_forest[t] + 1 if a == 0 else max(reduced_forest[t], 1)
         assert forest[t] == expected, "graft slot height off"
 
-    a, b = next(pairs)
-    spare_absorbed = not (a > 0 and b > 0)
-    if spare_absorbed:
-        absorb(a, b)
-        if check:
-            check_absorption(a, b)
-    else:
-        _graft_heights(forest, a, b)
-    pending = (a, b)
-    if trace:
-        records.append(CouplingTraceEntry(spare_absorbed, pending))
-
-    for a, b in pairs:
+    records: list[CouplingTraceEntry] = []
+    spare_absorbed = False
+    pending = None  # the reduced forest's next pair, one slot down
+    for a, b in pairs:  # the k pairs after the spare
         if spare_absorbed:
             _graft_heights(forest, a, b)
             _graft_heights(reduced_forest, a, b)
         else:
-            _graft_heights(reduced_forest, pending[0] - 1, pending[1] - 1)
+            if pending is not None:
+                _graft_heights(reduced_forest, pending[0] - 1, pending[1] - 1)
             if a > 0 and b > 0:
                 _graft_heights(forest, a, b)
             else:
-                absorb(a, b)
+                # one of a, b is the spare's slot 0; the merge lands at max(a, b)
+                t = max(a, b)
+                forest[t] = forest[b] + 1 if a == 0 else max(forest[a], 1)
+                forest.pop(0)
                 spare_absorbed = True
                 if check:
                     check_absorption(a, b)
@@ -296,7 +287,7 @@ def couple_reduce_heights(
     k = _reducible_run(seq)
     drawn = index_block(drivers, _reduce_sizes(seq, k)).T
     pair_a = np.ascontiguousarray(drawn[0::2])  # (pairs, R): row j is pair j of every replica
-    pair_b = drawn[1::2] + (drawn[1::2] >= pair_a)
+    pair_b = pair_second(pair_a, drawn[1::2])
     replicas = len(drivers)
     rows = np.arange(replicas)
     singleton = np.zeros((replicas, 1), dtype=np.int64)  # a frozen one-vertex tree
@@ -336,8 +327,7 @@ def couple_reduce_samples(
     draws = len(_reduce_sizes(seq, _reducible_run(seq)))
     per_batch = max(1, min(forward.MAX_BATCH, forward.INDEX_BLOCK // draws))
     samples = []
-    for start in range(0, replicas, per_batch):
-        batch = StreamRange(master_seed, start, min(start + per_batch, replicas))
+    for batch in StreamRange(master_seed, 0, replicas).batches(per_batch):
         height_x, height_xhat = couple_reduce_heights(seq, batch)
         samples += map(CoupledSample, height_x.tolist(), height_xhat.tolist())
     return samples
@@ -359,10 +349,6 @@ def _rrt_depths(m: int, driver: Driver) -> tuple[list[int], int]:
     return depths, height
 
 
-def _rrt_height(n: int, driver: Driver) -> int:
-    return _rrt_depths(n, driver)[1]
-
-
 def _split_heights(n: int, driver: Driver) -> tuple[int, int]:
     """Heights of the two parts of an n-edge recursive tree cut at its first
     edge: (part keeping the root, part rooted at the first child)."""
@@ -380,6 +366,21 @@ def _split_heights(n: int, driver: Driver) -> tuple[int, int]:
     return heights[0], heights[1]
 
 
+def _insertion_draws(m: int, n: int, driver: Driver, freeze_case: bool) -> tuple:
+    """The insertion couplings' draws, in order: the m-edge base tree, marked
+    vertices u != v, prop_ii's case, the split i_n and the two subtrees.
+    Returns (base height, depth of u, depth of v, case or None, i_n, h1, h2)."""
+    if m < 1 or n < 0:
+        raise ValueError("need m >= 1 and n >= 0")
+    depths, base_height = _rrt_depths(m, driver)
+    u, v = driver.distinct_pair(m + 1)
+    case = driver.index(3) if freeze_case else None
+    i_n = driver.index(n + 1)
+    h1 = _rrt_depths(i_n, driver)[1]
+    h2 = _rrt_depths(n - i_n, driver)[1]
+    return base_height, depths[u], depths[v], case, i_n, h1, h2
+
+
 def couple_prop_i(m: int, n: int, rng: RngStream | Driver) -> CoupledSample:
     """Coupling for inserting an extra freeze+attach pair.
 
@@ -389,18 +390,10 @@ def couple_prop_i(m: int, n: int, rng: RngStream | Driver) -> CoupledSample:
     first marked vertex hosts both grafts for the longer sequence (one through
     its new child); the two marked vertices share them for the shorter one.
     """
-    if m < 1 or n < 0:
-        raise ValueError("need m >= 1 and n >= 0")
-    driver = _as_driver(rng)
-    depths, base_height = _rrt_depths(m, driver)
-    u, v = driver.distinct_pair(m + 1)
-    hu, hv = depths[u], depths[v]
-    i_n = driver.index(n + 1)
-    h1 = _rrt_height(i_n, driver)
-    h2 = _rrt_height(n - i_n, driver)
+    base, hu, hv, _, i_n, h1, h2 = _insertion_draws(m, n, _as_driver(rng), False)
     return CoupledSample(
-        height_x=max(base_height, hu + 1 + h1, hu + h2),
-        height_xhat=max(base_height, hu + h1, hv + h2),
+        height_x=max(base, hu + 1 + h1, hu + h2),
+        height_xhat=max(base, hu + h1, hv + h2),
         i_split=i_n,
     )
 
@@ -412,28 +405,21 @@ def couple_prop_ii(m: int, n: int, rng: RngStream | Driver) -> CoupledSample:
     which of the three actives (the fresh child, its parent, or the other
     marked vertex) gets frozen; the case decides where the two subtrees land.
     """
-    if m < 1 or n < 0:
-        raise ValueError("need m >= 1 and n >= 0")
-    driver = _as_driver(rng)
-    depths, base_height = _rrt_depths(m, driver)
-    u, v = driver.distinct_pair(m + 1)
-    hu, hv = depths[u], depths[v]
-    case = driver.index(3)
-    i_n = driver.index(n + 1)
-    h1 = _rrt_height(i_n, driver)
-    h2 = _rrt_height(n - i_n, driver)
-    height_xhat = max(base_height, hu + h1, hv + h2)
+    base, hu, hv, case, i_n, h1, h2 = _insertion_draws(m, n, _as_driver(rng), True)
     if case == 0:
         tag = FreezeCase.FROZEN_CHILD
-        height_x = max(base_height, hu + 1, hu + h1, hv + h2)
+        height_x = max(base, hu + 1, hu + h1, hv + h2)
     elif case == 1:
         tag = FreezeCase.FROZEN_PARENT
-        height_x = max(base_height, hu + 1 + h1, hv + h2)
+        height_x = max(base, hu + 1 + h1, hv + h2)
     else:
         tag = FreezeCase.FROZEN_OTHER
-        height_x = max(base_height, hu + 1 + h1, hu + h2)
+        height_x = max(base, hu + 1 + h1, hu + h2)
     return CoupledSample(
-        height_x=height_x, height_xhat=height_xhat, case_tag=tag, i_split=i_n
+        height_x=height_x,
+        height_xhat=max(base, hu + h1, hv + h2),
+        case_tag=tag,
+        i_split=i_n,
     )
 
 

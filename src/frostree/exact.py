@@ -43,22 +43,21 @@ class HeightDistribution:
     @staticmethod
     def from_exact(masses: Mapping[int, Fraction]) -> "HeightDistribution":
         cleaned = {int(h): Fraction(p) for h, p in masses.items() if p != 0}
-        total = sum(cleaned.values(), Fraction(0))
-        if total != 1:
-            raise ValueError(f"exact masses sum to {total}, expected 1")
-        if any(p < 0 for p in cleaned.values()) or any(h < 0 for h in cleaned):
-            raise ValueError("negative mass or height")
-        return HeightDistribution(cleaned, exact=True)
+        return HeightDistribution._checked(cleaned, exact=True)
 
     @staticmethod
     def from_float(masses: Mapping[int, float]) -> "HeightDistribution":
         cleaned = {int(h): float(p) for h, p in masses.items() if p != 0.0}
-        total = sum(cleaned.values())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"float masses sum to {total}, expected 1")
+        return HeightDistribution._checked(cleaned, exact=False)
+
+    @staticmethod
+    def _checked(cleaned: dict, exact: bool) -> "HeightDistribution":
+        total = sum(cleaned.values())  # a Fraction or float; 0 when empty
+        if abs(total - 1) > (0 if exact else 1e-12):
+            raise ValueError(f"{'exact' if exact else 'float'} masses sum to {total}, expected 1")
         if any(p < 0 for p in cleaned.values()) or any(h < 0 for h in cleaned):
             raise ValueError("negative mass or height")
-        return HeightDistribution(cleaned, exact=False)
+        return HeightDistribution(cleaned, exact=exact)
 
     @staticmethod
     def from_counts(histogram: Mapping[int, int]) -> "HeightDistribution":

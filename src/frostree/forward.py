@@ -154,7 +154,8 @@ def forward_heights(
     bounds.  Raises InvalidSequence when the walk dies early."""
     require_valid(seq)
     if seq.freeze_count == 0:
-        return rrt_batch_depths(len(seq), drivers).max(axis=1)
+        parents = index_block(drivers, np.arange(1, len(seq) + 1))
+        return depths_from_parents(parents).max(axis=1)
     if isinstance(drivers, StreamRange):
         # time blocks continue each stream, so every row keeps a driver
         drivers = stream_drivers(drivers.master_seed, drivers.start, drivers.stop)
@@ -223,12 +224,6 @@ def depths_from_parents(parents: np.ndarray) -> np.ndarray:
         dist += jumped
         anc.take(anc, None, spare, "clip")
         anc, spare = spare, anc
-
-
-def rrt_batch_depths(n: int, drivers: list[MonteCarloDriver] | StreamRange) -> np.ndarray:
-    """``(len(drivers), n + 1)`` depths of n-edge recursive trees, row r drawn
-    from drivers[r] as build_forward draws on n attachments."""
-    return depths_from_parents(index_block(drivers, np.arange(1, n + 1)))
 
 
 def sample_rrt(n: int, rng: RngStream | Driver) -> TreeArena:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidSequence
 from .forward import batch_replicas, depths_from_parents, forward_heights
-from .rng import StreamRange, index_block
+from .rng import StreamRange, index_block, pair_second
 from .sequences import ChoiceSequence, attach_run, classify, parse_sequence, require_valid
 
 
@@ -116,10 +116,8 @@ def _replica_heights(
     seq: ChoiceSequence, master_seed: int, start: int, stop: int
 ) -> dict[int, int]:
     """Height histogram of replicas start..stop-1, batch by batch."""
-    per_batch = batch_replicas(seq)
     counts: dict[int, int] = {}
-    for first in range(start, stop, per_batch):
-        batch = StreamRange(master_seed, first, min(first + per_batch, stop))
+    for batch in StreamRange(master_seed, start, stop).batches(batch_replicas(seq)):
         heights, tally = np.unique(forward_heights(seq, batch), return_counts=True)
         for h, c in zip(heights.tolist(), tally.tolist()):
             counts[h] = counts.get(h, 0) + c
@@ -210,10 +208,10 @@ def bennett_bound(query: BennettQuery) -> float:
     """Upper bound for both tail probabilities P(S > mean + t), P(S < mean - t)
     of a sum S of independent Bernoulli variables with parameter sum mean_sum:
     exp(-mean_sum * g(t / mean_sum)) with g(u) = (1+u) ln(1+u) - u."""
-    if query.mean_sum <= 0:
-        raise DomainError("mean_sum must be positive")
-    if query.t <= 0:
-        raise DomainError("t must be positive")
+    if not 0 < query.mean_sum < math.inf:
+        raise DomainError("mean_sum must be finite and positive")
+    if not 0 < query.t < math.inf:
+        raise DomainError("t must be finite and positive")
     u = query.t / query.mean_sum
     g = (1 + u) * math.log1p(u) - u
     return math.exp(-query.mean_sum * g)
@@ -273,8 +271,10 @@ def empirical_dominance(
     r1's CDF never exceeds r2's by more than slack, and somewhere sits below
     it by more than slack (or the two CDFs are exactly equal).  Significant
     crossings in both directions give INCOMPARABLE; differences that never
-    clear the band give INCONCLUSIVE.
+    clear the band give INCONCLUSIVE.  slack must be finite and at least 0.
     """
+    if not 0 <= slack < math.inf:
+        raise ValueError(f"slack must be finite and at least 0, got {slack}")
     support = sorted(set(r1.histogram) | set(r2.histogram))
     c1 = c2 = 0
     above = below = False
@@ -321,16 +321,14 @@ def walk_gap_growth(
         if m < 1:
             raise ValueError("tree sizes must be at least 1")
         total = 0
-        per_batch = batch_replicas(attach_run(m))
+        streams = StreamRange(master_seed, j * replicas, (j + 1) * replicas)
         # each stream draws its tree's m parents, then distinct_pair(m + 1)
         sizes = np.append(np.arange(1, m + 2), m)
-        for first in range(j * replicas, (j + 1) * replicas, per_batch):
-            stop = min(first + per_batch, (j + 1) * replicas)
-            drawn = index_block(StreamRange(master_seed, first, stop), sizes)
+        for batch in streams.batches(batch_replicas(attach_run(m))):
+            drawn = index_block(batch, sizes)
             depths = depths_from_parents(drawn[:, :m])
-            rows = np.arange(stop - first)
-            u, r = drawn[:, m], drawn[:, m + 1]
-            v = r + (r >= u)
+            rows = np.arange(len(batch))
+            u, v = drawn[:, m], pair_second(drawn[:, m], drawn[:, m + 1])
             total += int(np.abs(depths[rows, u] - depths[rows, v]).sum())
         out.append((m, total / replicas))
     return out

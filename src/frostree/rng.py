@@ -5,7 +5,9 @@ Every randomized construction in this package consumes randomness through a
 
 * ``index(k)``    -- uniform integer in ``[0, k)``
 * ``indices(sizes)`` -- one ``index(k)`` per entry k of ``sizes``, in order
-* ``distinct_pair(k)`` -- uniform ordered pair of distinct integers in ``[0, k)``
+* ``distinct_pair(k)`` -- uniform ordered pair of distinct integers in ``[0, k)``,
+  ``index(k)`` then ``index(k - 1)`` mapped by ``pair_second``, which the
+  batched kernels apply to their index blocks as well
 
 ``MonteCarloDriver`` backs them with a seeded generator, and ``index_block``
 draws the same indices for many of them at once; ``ExhaustiveDriver``
@@ -22,6 +24,7 @@ a vectorized copy of numpy's seeding (O'Neill's ``seed_seq_fe`` with a pool of
 four words, then PCG64's ``srandom``) and sets each row's state on one reused
 generator.  numpy itself is the test oracle, so a numpy release that changed
 its seeding would fail the tests rather than silently change reports.
+``StreamRange.batches`` cuts a run's streams into such batches.
 """
 
 from __future__ import annotations
@@ -75,8 +78,14 @@ class _ChoiceDriver:
         if k < 2:
             raise ValueError("distinct_pair() needs at least two options")
         a = self.index(k)
-        r = self.index(k - 1)
-        return a, r + 1 if r >= a else r
+        return a, pair_second(a, self.index(k - 1))
+
+
+def pair_second(a, r):
+    """The second member of the distinct pair drawn as ``a = index(k)``,
+    ``r = index(k - 1)``: r with a skipped, so uniform over [0, k) minus a.
+    Maps ints and int arrays alike."""
+    return r + (r >= a)
 
 
 class MonteCarloDriver(_ChoiceDriver):
@@ -152,6 +161,12 @@ class StreamRange:
 
     def __len__(self) -> int:
         return self.stop - self.start
+
+    def batches(self, size: int) -> Iterator["StreamRange"]:
+        """These streams cut in order into ranges of size streams (the last
+        may be shorter)."""
+        for first in range(self.start, self.stop, size):
+            yield StreamRange(self.master_seed, first, min(first + size, self.stop))
 
 
 def _to_indices(u: np.ndarray, sizes: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import math
 import subprocess
@@ -223,6 +225,48 @@ class TestCouple:
         assert run_cli(capsys, *argv, "--format", "csv") == (0, samples_to_csv(samples), "")
 
 
+# sha256 of couple's stdout for every --which x --mode x --format; mc runs
+# draw 40 replicas at seed 7.  A change to any draw, law or serialized byte
+# changes a digest.
+COUPLE_ARGS = {
+    "reduce": ["--seq", "++-+-+--"],
+    "prop_i": ["--m", "3", "--n", "2"],
+    "prop_ii": ["--m", "2", "--n", "3"],
+    "prop_iii": ["--n", "3"],
+}
+COUPLE_DIGESTS = {
+    ("reduce", "mc", "json"): "4b7db8c59de31044ce51535d4a9ab2268bfcb6f862217ab9b3d57613ca8e8812",
+    ("reduce", "mc", "csv"): "8ad4da8c9e9cb4fe901d4008ceadfe76da93fd04ef7bcf4d5ee1486cbee7a530",
+    ("reduce", "enumerate", "json"): "3bc1a4611510982317ce21af46f1f33e033008b577da0649c27efdfb12c3e287",
+    ("reduce", "enumerate", "csv"): "21a645325b7ba795d8b234c4e350859b437f6df2ff1242ed04e6cbe9bad7b409",
+    ("prop_i", "mc", "json"): "6181a6fce5214acb2f1508be9d3faca4a8637c15355dcb0b6fb3341eac55784a",
+    ("prop_i", "mc", "csv"): "f45f0e126e9bb347f391edade41602a768a5af1b6dac9697f448b9ddc57b3349",
+    ("prop_i", "enumerate", "json"): "f3dfa2b94884e6a53ca7754611dc5b5ff1527a33ac64af5840bd82e0e64e5399",
+    ("prop_i", "enumerate", "csv"): "9757ff8ef539867f82ce0b047045927f0169facf422019e97e02ed86016c1561",
+    ("prop_ii", "mc", "json"): "a6bb89add0fb6f25054c1bc2bc2ee90c2242ec1dccd3fe56a3d0ef82303da909",
+    ("prop_ii", "mc", "csv"): "ab96b83573f426f32e88a14230f34b8942bb49220dbef8dd9398309e52371c6e",
+    ("prop_ii", "enumerate", "json"): "3774c83735973a7c4436086d9bf90c0dbb987043180560b8ff8e937a98c783ab",
+    ("prop_ii", "enumerate", "csv"): "55999764f995ef450faabe2e51874424acedb39fa8debba75f5b9033d42aacab",
+    ("prop_iii", "mc", "json"): "cbc43226267dcb83433ba908cb263ad0f417dff6098f887c4d4cd64d8ae17d6d",
+    ("prop_iii", "mc", "csv"): "67db792d8b7574e476a09a482b3d1b0d27128e9b8f863ea4424d350b705e508d",
+    ("prop_iii", "enumerate", "json"): "de790f4148ca3e0d3ab176692106b9942efde94148dc1e7b8c75ee919fbc94cb",
+    ("prop_iii", "enumerate", "csv"): "a0f72a8925c9af72a5f626254c7a1e7dae81db0ce4d30d138a57103f8cf7c59c",
+}
+
+
+@pytest.mark.parametrize(
+    "which, mode, fmt",
+    itertools.product(COUPLE_ARGS, ["mc", "enumerate"], ["json", "csv"]),
+)
+def test_couple_output_bytes_are_pinned(capsys, which, mode, fmt):
+    argv = ["couple", "--which", which, *COUPLE_ARGS[which], "--mode", mode, "--format", fmt]
+    if mode == "mc":
+        argv += ["--replicas", "40", "--seed", "7"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == COUPLE_DIGESTS[which, mode, fmt]
+
+
 class TestCompare:
     def test_enumerate_incomparable(self, capsys):
         code, out, _ = run_cli(
@@ -254,6 +298,15 @@ class TestCompare:
             "3",
         )
         assert json.loads(out)["verdict"] == "dominates"
+
+    @pytest.mark.parametrize("slack", ["nan", "inf", "-0.01"])
+    def test_mc_rejects_bad_slack(self, capsys, slack):
+        code, out, err = run_cli(
+            capsys, "compare", "--seq", "+^2", "--seq2", "+-+", "--mode", "mc",
+            "--replicas", "50", "--slack", slack,
+        )
+        assert code == 1 and out == ""
+        assert "slack must be finite and at least 0" in err
 
     def test_family_floor_search(self, capsys, tmp_path):
         family = tmp_path / "family.txt"
@@ -291,6 +344,14 @@ class TestReduceAndBound:
     def test_bound_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--mean-sum", "-1", "--t", "1")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "mean_sum, t", [("nan", "1"), ("inf", "1"), ("1", "nan"), ("1", "inf")]
+    )
+    def test_bound_rejects_non_finite_input(self, capsys, mean_sum, t):
+        code, out, err = run_cli(capsys, "bound", "--mean-sum", mean_sum, "--t", t)
+        assert code == 1 and out == ""
+        assert "must be finite and positive" in err
 
     def test_scalar_csv_format(self, capsys):
         code, out, _ = run_cli(

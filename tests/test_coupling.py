@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from frostree import coupling
 from frostree import (
     ChoiceSequence,
     FreezeCase,
@@ -101,6 +102,16 @@ class TestReduceToPrefix:
         assert walk_profile(seq).max_value == 2
         with pytest.raises(TargetUnreachable):
             reduce_to_prefix(seq, 2)
+
+    def test_target_above_walk_maximum_fails_without_reducing(self, monkeypatch):
+        # each reduction copies the sequence, so the loop would be quadratic
+        # here; a target above max - 1 is unreachable and fails at once
+        monkeypatch.setattr(coupling, "reduce_once", lambda seq: pytest.fail("reduced"))
+        seq = parse_sequence("(+-)^100000")
+        with pytest.raises(TargetUnreachable, match="leading attach run of 2 from '"):
+            reduce_to_prefix(seq, 2)
+        with pytest.raises(InvalidSequence):
+            reduce_to_prefix(parse_sequence("+--+"), 5)
 
     def test_run_can_grow_through_reduction(self):
         # +-++... : dropping the first pair exposes a longer run

@@ -102,6 +102,14 @@ class TestBennett:
         with pytest.raises(DomainError):
             bennett_bound(BennettQuery(1.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "mean_sum, t",
+        [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (-math.inf, 1.0)],
+    )
+    def test_non_finite_inputs_rejected(self, mean_sum, t):
+        with pytest.raises(DomainError, match="finite and positive"):
+            bennett_bound(BennettQuery(mean_sum, t))
+
     def test_decreasing_in_t(self):
         values = [bennett_bound(BennettQuery(10, t)) for t in (1, 2, 5, 10, 20)]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -164,6 +172,12 @@ class TestEmpiricalDominance:
         r1 = run_mc(alternating(3), 100_000, 4)
         r2 = run_mc(attach_run(3), 100_000, 5)
         assert empirical_dominance(r1, r2, 0.01) is DominanceVerdict.INCOMPARABLE
+
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, -0.01])
+    def test_slack_must_be_finite_and_nonnegative(self, slack):
+        r = run_mc(attach_run(3), 100, 8)
+        with pytest.raises(ValueError, match="slack must be finite and at least 0"):
+            empirical_dominance(r, r, slack)
 
     def test_close_laws_inconclusive(self):
         r1 = run_mc(attach_run(3), 50_000, 6)
