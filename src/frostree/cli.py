@@ -32,6 +32,7 @@ from .forward import build_forward
 from .montecarlo import (
     BennettQuery,
     bennett_bound,
+    check_slack,
     check_theorem_main,
     empirical_dominance,
     height_threshold,
@@ -328,6 +329,7 @@ def _cmd_compare(args: argparse.Namespace) -> str:
                 "verdict": verdict,
             },
         )
+    check_slack(args.slack)  # before the replicas, not after them
     # distinct master seeds keep the two runs independent
     r1 = run_mc(seq1, args.replicas, args.seed)
     r2 = run_mc(seq2, args.replicas, args.seed + 1)

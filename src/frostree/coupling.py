@@ -44,7 +44,7 @@ from .rng import (
     index_block,
     pair_second,
 )
-from .sequences import ChoiceSequence, Step, require_valid
+from .sequences import ChoiceSequence, Step, quoted, require_valid
 
 
 class FreezeCase(Enum):
@@ -118,20 +118,27 @@ def reduce_to_prefix(seq: ChoiceSequence, r: int) -> ChoiceSequence:
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    current = seq
-    try:
-        if r > seq.walk.max_value - 1:
-            # unreachable (see above): fail at once instead of reducing, which
-            # copies the sequence at every step; invalid input still fails first
-            require_valid(seq)
-            raise NotReducible(f"walk maximum {seq.walk.max_value} is at most r")
-        while _leading_attach_run(current) < r:
-            current = reduce_once(current).reduced
-    except NotReducible as exc:
+    steps = seq.steps
+    run = _leading_attach_run(seq)
+    if run >= r:
+        return seq
+    require_valid(seq)  # invalid input fails as invalid before it fails as unreachable
+    # The current sequence is a leading run of `run` attaches followed by
+    # steps[at:], so each reduction moves an index instead of copying steps.
+    # A target above max - 1 is unreachable (see above) and fails at once.
+    at = run
+    reachable = r <= seq.walk.max_value - 1
+    while reachable and 0 < run < r and at < len(steps):
+        run -= 1  # drop the run's last attach and the freeze after it
+        at += 1
+        while at < len(steps) and steps[at] is Step.ATTACH:
+            run += 1
+            at += 1
+    if run < r:
         raise TargetUnreachable(
-            f"cannot reach a leading attach run of {r} from {seq.text!r}"
-        ) from exc
-    return current
+            f"cannot reach a leading attach run of {r} from {quoted(seq)}"
+        )
+    return ChoiceSequence((Step.ATTACH,) * run + steps[at:])
 
 
 # --------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 Forward laws compress the construction state to a depth profile: the count of
 active vertices per depth plus the running height.  Both step types pick a
 uniform active vertex, so only its depth matters for the future, which makes
-the profile a lossless state for the height law.  Reverse laws track the
-multiset of tree heights in the coalescing forest: graft pairs are drawn
-uniformly over ordered slot pairs, so slot order never influences the law and
-sorting the heights is an exact lumping of the positional chain.
+the profile a lossless state for the height law.  The DP keys each state by
+one int, the counts as fixed-width digits above a height field, so an attach
+or a freeze is one integer add.  Reverse laws track the multiset of tree
+heights in the coalescing forest: graft pairs are drawn uniformly over ordered
+slot pairs, so slot order never influences the law and sorting the heights is
+an exact lumping of the positional chain.
 
 All oracle arithmetic is exact: the DPs carry integer weights over one
 shared denominator per law and divide once per height at the end.  Empirical
@@ -23,7 +25,7 @@ from .errors import InvalidSequence, StateSpaceExceeded
 from .forward import forward_height
 from .reverse import build_reverse
 from .rng import law_of
-from .sequences import ChoiceSequence, Step, attach_run, is_valid, require_valid
+from .sequences import ChoiceSequence, Step, attach_run, is_valid, quoted, require_valid
 
 DEFAULT_STATE_CAP = 10_000_000
 DEFAULT_REVERSE_LENGTH_CAP = 12  # +^12, the slowest length-12 case, takes about 20 ms
@@ -128,42 +130,56 @@ def exact_height_distribution_forward(
 ) -> HeightDistribution:
     """Exact forward height law by depth-profile dynamic programming.
 
-    A state is ``(active_counts, height)``: the number of active vertices per
-    depth (trailing zeros trimmed) and the running height, which may exceed
-    every occupied depth once the deepest vertices are frozen.  Every state
-    before step j holds s_{j-1} actives, so all transitions of a step share
-    that divisor: weights stay integers and the law is weight / denominator,
-    with one division per height at the end.
+    A state is the number of active vertices per depth plus the running
+    height, which may exceed every occupied depth once the deepest vertices
+    are frozen.  It is packed into one int: the low ``hb`` bits hold the
+    height and digit d above them, ``b`` bits wide, holds the count at depth
+    d.  A count never exceeds the walk maximum s_max, so with
+    ``b = s_max.bit_length()`` digits never carry, and with
+    ``hb = (len(seq) + 1).bit_length()`` the height never reaches the
+    digits.  Empty deepest depths are zero digits, so equal states are
+    equal ints.  With ``units[d] = 1 << (hb + b * d)`` an attach at depth d
+    adds ``units[d + 1]`` and a freeze at depth d subtracts ``units[d]``.
+    No occupied depth exceeds the height, so only an attach at depth d equal
+    to the height raises it, by 1.
+
+    Every state before step j holds s_{j-1} actives, so all transitions of a
+    step share that divisor: weights stay integers and the law is weight /
+    denominator, with one division per height at the end.
     """
     require_valid(seq)
-    states: dict[tuple[tuple[int, ...], int], int] = {((1,), 0): 1}
+    width = seq.walk.max_value.bit_length()
+    hb = (len(seq) + 1).bit_length()
+    hmask, digit = (1 << hb) - 1, (1 << width) - 1
+    units = [1 << hb, 1 << (hb + width)]  # grows by one depth per attach step
+    states: dict[int, int] = {units[0]: 1}
     denominator = 1
     steps = zip(seq.attach_flags(), seq.walk.s_values)
     for j, (attach, total) in enumerate(steps, start=1):
-        next_states: dict[tuple[tuple[int, ...], int], int] = {}
-        for (counts, height), weight in states.items():
-            for depth, count in enumerate(counts):
-                if count == 0:
-                    continue
-                moved = list(counts)
-                if attach:
-                    child = depth + 1
-                    if child == len(moved):
-                        moved.append(1)
-                    else:
-                        moved[child] += 1
-                    key = (tuple(moved), max(height, child))
-                else:
-                    moved[depth] -= 1
-                    while moved and moved[-1] == 0:
-                        moved.pop()
-                    key = (tuple(moved), height)
-                next_states[key] = next_states.get(key, 0) + weight * count
+        moves = units[1:] if attach else [-u for u in units]
+        next_states: dict[int, int] = {}
+        get = next_states.get
+        for key, weight in states.items():
+            height = key & hmask
+            top = height if attach else -1  # the depth whose attach raises the height
+            rest = key >> hb
+            depth = 0
+            while rest:
+                count = rest & digit
+                if count:
+                    moved = key + moves[depth]
+                    if depth == top:
+                        moved += 1
+                    next_states[moved] = get(moved, 0) + weight * count
+                rest >>= width
+                depth += 1
             if len(next_states) > state_cap:
                 raise _state_cap_error("forward", seq, j, len(next_states), state_cap)
+        if attach:
+            units.append(units[-1] << width)
         states = next_states
         denominator *= total
-    return _law(((h, w) for (_, h), w in states.items()), denominator)
+    return _law(((key & hmask, w) for key, w in states.items()), denominator)
 
 
 def _law(weighted: Iterable[tuple[int, int]], denominator: int) -> HeightDistribution:
@@ -181,7 +197,7 @@ def _state_cap_error(
 ) -> StateSpaceExceeded:
     """The cap error names the 1-based step whose states passed the cap."""
     return StateSpaceExceeded(
-        f"{dp} DP reached {states} states at step {step} of {seq.text!r},"
+        f"{dp} DP reached {states} states at step {step} of {quoted(seq)},"
         f" above state_cap={cap}"
     )
 
@@ -309,7 +325,7 @@ def min_floor_search(
     for seq in sequence_family:
         if seq.attach_count != n or not is_valid(seq):
             raise InvalidSequence(
-                f"{seq.text!r} is not an n={n} sequence with a surviving walk"
+                f"{quoted(seq)} is not an n={n} sequence with a surviving walk"
             )
         laws.append(exact_height_distribution_forward(seq, state_cap))
     for h in range(reference.support_max + 1):

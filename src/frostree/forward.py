@@ -31,7 +31,7 @@ from .rng import (
     index_block,
     stream_drivers,
 )
-from .sequences import ChoiceSequence, Step, require_valid
+from .sequences import ChoiceSequence, Step, quoted, require_valid
 from .tree import Status, TreeArena
 
 
@@ -68,7 +68,7 @@ def build_forward(
         size = len(active)
         if size == 0:
             raise InvalidSequence(
-                f"no active vertex left at step {j} of {seq.text!r}"
+                f"no active vertex left at step {j} of {quoted(seq)}"
             )
         i = driver.index(size)
         if step is Step.ATTACH:
@@ -302,7 +302,7 @@ def uniform_active_depth_law(seq: ChoiceSequence) -> list[Fraction]:
     profile = seq.walk
     if profile.final == 0:
         raise InvalidSequence(
-            f"{seq.text!r} ends fully frozen: no active vertex to sample"
+            f"{quoted(seq)} ends fully frozen: no active vertex to sample"
         )
     return [
         Fraction(1, profile.s_values[i])

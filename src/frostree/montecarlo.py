@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DomainError, InvalidSequence
 from .forward import batch_replicas, depths_from_parents, forward_heights
 from .rng import StreamRange, index_block, pair_second
-from .sequences import ChoiceSequence, attach_run, classify, parse_sequence, require_valid
+from .sequences import ChoiceSequence, attach_run, classify, parse_sequence, quoted, require_valid
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,7 @@ def check_theorem_main(
     verdict = classify(seq, n)
     if not verdict.in_x_n:
         raise InvalidSequence(
-            f"{seq.text!r} is not a valid sequence with {n} attachments"
+            f"{quoted(seq)} is not a valid sequence with {n} attachments"
         )
     report = run_mc(
         seq, replicas, master_seed, parallelism, threshold=height_threshold(n)
@@ -262,6 +262,12 @@ class DominanceVerdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+def check_slack(slack: float) -> None:
+    """Raise ValueError unless slack is finite and at least 0."""
+    if not 0 <= slack < math.inf:
+        raise ValueError(f"slack must be finite and at least 0, got {slack}")
+
+
 def empirical_dominance(
     r1: SimulationReport, r2: SimulationReport, slack: float
 ) -> DominanceVerdict:
@@ -273,8 +279,7 @@ def empirical_dominance(
     crossings in both directions give INCOMPARABLE; differences that never
     clear the band give INCONCLUSIVE.  slack must be finite and at least 0.
     """
-    if not 0 <= slack < math.inf:
-        raise ValueError(f"slack must be finite and at least 0, got {slack}")
+    check_slack(slack)
     support = sorted(set(r1.histogram) | set(r2.histogram))
     c1 = c2 = 0
     above = below = False

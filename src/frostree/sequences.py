@@ -26,6 +26,7 @@ import numpy as np
 from .errors import InvalidSequence, SequenceSyntaxError
 
 MAX_STEPS = 10**7  # longest expansion the parser builds
+MESSAGE_TEXT_CHARS = 80  # longest sequence text an error message quotes in full
 
 
 class Step(Enum):
@@ -211,6 +212,19 @@ def render_sequence(seq: ChoiceSequence) -> str:
     return _RUN.sub(lambda run: f"{run[1]}^{len(run[0])}", raw)
 
 
+def quoted(seq: ChoiceSequence) -> str:
+    """The sequence's text quoted for an error message.
+
+    Text up to MESSAGE_TEXT_CHARS characters is quoted verbatim; a longer text
+    is cut there and followed by the step count, so a message stays one short
+    line however long the sequence.
+    """
+    text = seq.text
+    if len(text) <= MESSAGE_TEXT_CHARS:
+        return repr(text)
+    return f"{text[:MESSAGE_TEXT_CHARS]!r}... ({len(seq)} steps)"
+
+
 # --------------------------------------------------------------------------
 # Walk and classification
 
@@ -265,7 +279,7 @@ def is_valid(seq: ChoiceSequence) -> bool:
 def require_valid(seq: ChoiceSequence) -> None:
     """Raise InvalidSequence unless the walk stays positive before the end."""
     if not seq.walk.valid:
-        raise InvalidSequence(f"{seq.text!r} exhausts its active vertices early")
+        raise InvalidSequence(f"{quoted(seq)} exhausts its active vertices early")
 
 
 def classify(seq: ChoiceSequence, n: int) -> SequenceClass:

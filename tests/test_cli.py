@@ -17,6 +17,7 @@ from frostree import (
     parse_sequence,
     samples_to_csv,
 )
+from frostree import cli
 from frostree.cli import main
 
 
@@ -308,6 +309,16 @@ class TestCompare:
         assert code == 1 and out == ""
         assert "slack must be finite and at least 0" in err
 
+    @pytest.mark.parametrize("slack", ["nan", "-0.01"])
+    def test_mc_checks_slack_before_any_replica(self, capsys, monkeypatch, slack):
+        monkeypatch.setattr(cli, "run_mc", lambda *a, **k: pytest.fail("run_mc called"))
+        code, out, err = run_cli(
+            capsys, "compare", "--seq", "+^2", "--seq2", "+-+", "--mode", "mc",
+            "--slack", slack,
+        )
+        assert code == 1 and out == ""
+        assert f"slack must be finite and at least 0, got {float(slack)}" in err
+
     def test_family_floor_search(self, capsys, tmp_path):
         family = tmp_path / "family.txt"
         family.write_text("(+-)^3\n+^3\n", encoding="utf-8")
@@ -419,6 +430,26 @@ class TestErrors:
         code, _, err = run_cli(capsys, "exact", "--seq=-^2")
         assert code == 1
         assert "frostree:" in err
+
+    def test_long_sequence_error_stays_short(self, capsys):
+        code, out, err = run_cli(
+            capsys, "reduce", "--seq", "(+-)^100000", "--to-prefix", "2"
+        )
+        assert code == 1 and out == ""
+        assert len(err) < 300, len(err)
+        assert "cannot reach a leading attach run of 2 from '+-+-" in err
+        assert "... (200000 steps)" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--seq", "(+-)^5000--+"],
+        ["simulate", "--seq", "(+-)^5000--+", "--replicas", "1"],
+        ["couple", "--which", "reduce", "--seq", "(+-)^5000--+", "--replicas", "1"],
+    ])
+    def test_invalid_long_sequence_error_stays_short(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert len(err) < 300, len(err)
+        assert "... (10003 steps) exhausts its active vertices early" in err
 
     def test_syntax_error_offset(self, capsys):
         code, _, err = run_cli(capsys, "exact", "--seq", "+^x")

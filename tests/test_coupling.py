@@ -113,6 +113,41 @@ class TestReduceToPrefix:
         with pytest.raises(InvalidSequence):
             reduce_to_prefix(parse_sequence("+--+"), 5)
 
+    def test_equals_the_reduce_once_chain(self):
+        # every valid sequence of length at most 12 and every reachable target
+        def chain(seq, r):
+            while seq.steps[:r] != (Step.ATTACH,) * r:
+                seq = reduce_once(seq).reduced
+            return seq
+
+        pairs = 0
+        for m in range(0, 13):
+            for seq in iter_valid_sequences(m):
+                for r in range(walk_profile(seq).max_value):
+                    assert reduce_to_prefix(seq, r) == chain(seq, r), (seq.text, r)
+                    pairs += 1
+        assert pairs == 10_682  # (sequence, r) pairs over 1977 sequences
+
+    def test_reachable_target_is_linear(self, monkeypatch):
+        # 4000 reductions; copying the sequence per reduction took seconds
+        monkeypatch.setattr(coupling, "reduce_once", lambda seq: pytest.fail("reduced"))
+        seq = parse_sequence("(+-)^4000+^2-^2")
+        assert reduce_to_prefix(seq, 2) == parse_sequence("+^2-^2")
+        assert reduce_to_prefix(parse_sequence("(+-)^4000+^3-"), 3) == parse_sequence("+^3-")
+
+    def test_invalid_fails_before_unreachable(self):
+        # invalid input that needs a reduction fails as invalid, whether or not
+        # the target is reachable; one that needs none is returned unchanged
+        for r in (2, 5):
+            with pytest.raises(InvalidSequence):
+                reduce_to_prefix(parse_sequence("+-+--+"), r)
+        seq = parse_sequence("+^2--^2+")
+        assert reduce_to_prefix(seq, 2) == seq
+        with pytest.raises(TargetUnreachable):
+            reduce_to_prefix(parse_sequence("-"), 1)
+        with pytest.raises(TargetUnreachable):
+            reduce_to_prefix(ChoiceSequence(()), 1)
+
     def test_run_can_grow_through_reduction(self):
         # +-++... : dropping the first pair exposes a longer run
         seq = parse_sequence("+-+^3-^2")

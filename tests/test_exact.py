@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frostree import (
@@ -160,6 +160,71 @@ class TestForwardDistribution:
         expected = "forward DP reached 4 states at step 3 of '+^12', above state_cap=3"
         with pytest.raises(StateSpaceExceeded, match=re.escape(expected)):
             exact_height_distribution_forward(attach_run(12), state_cap=3)
+
+
+@st.composite
+def spread_peak_sequences(draw, max_size=12):
+    """Valid sequences of at most max_size steps whose walk maximum spans
+    1..max_size: a leading attach run of random length puts a floor under it."""
+    lead = draw(st.integers(0, max_size - 1))
+    return attach_run(lead) + draw(valid_sequences(0, max_size - lead))
+
+
+class TestPackedStateBoundaries:
+    """The forward DP packs each depth's count into a digit of
+    s_max.bit_length() bits above the height; these cases sit where that
+    width changes, where freezes empty the deepest digits, and where the
+    height exceeds every occupied depth."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spread_peak_sequences())
+    @example(ChoiceSequence(()))
+    @example(parse_sequence("-"))
+    @example(parse_sequence("+^11-"))
+    @example(parse_sequence("+^7-^2+^3"))
+    def test_forward_equals_reverse(self, seq):
+        assert (
+            exact_height_distribution_forward(seq)
+            == exact_height_distribution_reverse(seq)
+        ), seq.text
+
+    @pytest.mark.parametrize("n", [7, 8, 15, 16])
+    def test_attach_run_where_the_digit_width_grows(self, n):
+        # s_max = n + 1 is 8, 9, 16, 17: widths 4, 4, 5, 5 bits, and a depth-1
+        # count of n needs every bit at n = 8 and 16
+        law = exact_height_distribution_forward(attach_run(n))
+        assert law.mass(1) == law.mass(n) == Fraction(1, math.factorial(n))
+        assert sum(law.masses.values(), Fraction(0)) == 1
+        # a freeze after the run reads every digit of the final states back
+        assert exact_height_distribution_forward(parse_sequence(f"+^{n}-")) == law
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_all_frozen_keeps_the_height(self, k):
+        # after +^k -^(k+1) no vertex is active, so the height is above every
+        # occupied depth; freezes never change it
+        frozen = parse_sequence(f"+^{k}-^{k + 1}")
+        assert exact_height_distribution_forward(frozen) == (
+            exact_height_distribution_forward(attach_run(k))
+        )
+
+    @pytest.mark.parametrize(
+        "text", ["+^2-^2+", "+^3-^3+^2", "+^4-^4+-+", "+^5-^5+-", "+^3-^2+^2-^3+^2"]
+    )
+    def test_freezes_below_the_height(self, text):
+        # the deepest vertices freeze first on some paths, then attaches
+        # continue from shallower depths
+        seq = parse_sequence(text)
+        law = exact_height_distribution_forward(seq)
+        assert law == exact_height_distribution_reverse(seq)
+        if len(seq) <= 8:
+            assert law == forward_law_by_enumeration(seq)
+
+    def test_state_cap_is_checked_after_each_source_state(self):
+        # step 4 of +^12 reaches 8 states; the check after each source state
+        # stops at the first count above the cap
+        expected = "forward DP reached 6 states at step 4 of '+^12', above state_cap=4"
+        with pytest.raises(StateSpaceExceeded, match=re.escape(expected)):
+            exact_height_distribution_forward(attach_run(12), state_cap=4)
 
 
 class TestReverseDistribution:

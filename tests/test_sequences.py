@@ -84,6 +84,17 @@ class TestParse:
         assert render_sequence(seq(1, -1, 1, 1)) == "+-+^2"
         assert render_sequence(seq(1)) == "+"
 
+    def test_quoted_text_is_verbatim_up_to_the_limit(self):
+        limit = sequences.MESSAGE_TEXT_CHARS
+        short = parse_sequence("+-" * (limit // 2))  # renders to exactly `limit` chars
+        assert sequences.quoted(short) == repr(short.text)
+        assert sequences.quoted(attach_run(12)) == "'+^12'"
+        longer = short + attach_run(1)
+        assert sequences.quoted(longer) == (
+            f"{longer.text[:limit]!r}... ({len(longer)} steps)"
+        )
+        assert len(sequences.quoted(alternating(10**5))) < limit + 30
+
     @given(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=60))
     def test_parse_render_round_trip(self, signs):
         s = ChoiceSequence.from_signs(signs)
