@@ -15,10 +15,10 @@ from .coupling import (
     couple_prop_ii,
     couple_prop_iii,
     couple_reduce,
-    couple_reduce_samples,
+    couple_reduce_columns,
     reduce_once,
     reduce_to_prefix,
-    samples_to_csv,
+    render_samples,
 )
 from .errors import FrostreeError
 from .exact import (
@@ -271,25 +271,16 @@ def _cmd_couple(args: argparse.Namespace) -> str:
         return _couple_enumerate(args)
     if args.replicas < 1:
         raise ValueError("need at least one replica")
+    cases = None
     if args.which == "reduce":
-        samples = couple_reduce_samples(_reduce_seq(args), args.replicas, args.seed)
+        columns = couple_reduce_columns(_reduce_seq(args), args.replicas, args.seed)
     else:
         sampler = _couple_sampler(args.which, args)
-        samples = [sampler(RngStream(args.seed, i)) for i in range(args.replicas)]
-        if args.which == "prop_iii":
-            samples = [CoupledSample(hx, hxh) for hx, hxh, _ in samples]
-    if args.format == "csv":
-        return samples_to_csv(samples)
-    rows = [
-        {
-            "replica": i,
-            "height_x": s.height_x,
-            "height_xhat": s.height_xhat,
-            "case": s.case_tag.value if s.case_tag else None,
-        }
-        for i, s in enumerate(samples)
-    ]
-    return _json({"which": args.which, "mode": "mc", "samples": rows})
+        draws = [sampler(RngStream(args.seed, i)) for i in range(args.replicas)]
+        columns = list(zip(*map(_heights, draws)))[:2]
+        if args.which == "prop_ii":
+            cases = [draw.case_tag for draw in draws]
+    return render_samples(args.format, args.which, *columns, cases)
 
 
 def _cmd_compare(args: argparse.Namespace) -> str:

@@ -23,13 +23,20 @@ Three families of couplings are provided.
 Every operation accepts either an RngStream (Monte Carlo) or a choice driver,
 so exhaustive enumeration (``rng.law_of``) gives exact joint laws that certify
 the identities on small instances.
+
+Monte Carlo rows are rendered from height columns: :func:`render_samples`
+fills one row template per replica and writes both the JSON and the CSV form
+of ``couple --mode mc``; :func:`couple_reduce_columns` gives the reduce
+coupling's columns without building a sample per replica.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from itertools import chain, count, repeat
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -323,21 +330,32 @@ def couple_reduce_heights(
     return forest[:, 0], reduced[:, 0]
 
 
-def couple_reduce_samples(
+def couple_reduce_columns(
     seq: ChoiceSequence, replicas: int, master_seed: int
-) -> list[CoupledSample]:
-    """``[couple_reduce(seq, RngStream(master_seed, i)) for i in range(replicas)]``
+) -> tuple[list[int], list[int]]:
+    """The ``(height_x, height_xhat)`` columns of
+    ``[couple_reduce(seq, RngStream(master_seed, i)) for i in range(replicas)]``
     through :func:`couple_reduce_heights`, in batches of at most
     ``forward.MAX_BATCH`` replicas whose index block holds at most
     ``forward.INDEX_BLOCK`` entries (or one replica's draws).  Each batch is a
     ``StreamRange``, drawn through ``uniform_rows``."""
     draws = len(_reduce_sizes(seq, _reducible_run(seq)))
     per_batch = max(1, min(forward.MAX_BATCH, forward.INDEX_BLOCK // draws))
-    samples = []
+    height_x: list[int] = []
+    height_xhat: list[int] = []
     for batch in StreamRange(master_seed, 0, replicas).batches(per_batch):
-        height_x, height_xhat = couple_reduce_heights(seq, batch)
-        samples += map(CoupledSample, height_x.tolist(), height_xhat.tolist())
-    return samples
+        hx, hxh = couple_reduce_heights(seq, batch)
+        height_x += hx.tolist()
+        height_xhat += hxh.tolist()
+    return height_x, height_xhat
+
+
+def couple_reduce_samples(
+    seq: ChoiceSequence, replicas: int, master_seed: int
+) -> list[CoupledSample]:
+    """``[couple_reduce(seq, RngStream(master_seed, i)) for i in range(replicas)]``,
+    built from :func:`couple_reduce_columns`."""
+    return list(map(CoupledSample, *couple_reduce_columns(seq, replicas, master_seed)))
 
 
 # --------------------------------------------------------------------------
@@ -474,10 +492,55 @@ def couple_prop_iii(n: int, rng: RngStream | Driver) -> tuple[int, int, int]:
     return height_x, height_xhat, height_rrt
 
 
+# --------------------------------------------------------------------------
+# Monte Carlo sample rows
+
+# Row templates over (replica, height_x, height_xhat, case text).  The JSON
+# one is a row of ``json.dumps(..., sort_keys=True, indent=2)``: keys sorted,
+# nested two levels deep.
+_ROW = {
+    "json": '    {{\n      "case": {3},\n      "height_x": {1},\n'
+    '      "height_xhat": {2},\n      "replica": {0}\n    }}',
+    "csv": "{0},{1},{2},{3}",
+}
+_CASE_TEXT = {
+    "json": {None: "null", **{c: json.dumps(c.value) for c in FreezeCase}},
+    "csv": {None: "", **{c: c.value for c in FreezeCase}},
+}
+
+
+def render_samples(
+    fmt: str,
+    which: str,
+    height_x: Sequence[int],
+    height_xhat: Sequence[int],
+    cases: Sequence[FreezeCase | None] | None = None,
+) -> str:
+    """``couple --mode mc`` output of the given height columns (and case tags,
+    all None when omitted), row i being replica i.
+
+    ``fmt="json"`` gives ``json.dumps({"which": which, "mode": "mc", "samples":
+    rows}, sort_keys=True, indent=2) + "\n"`` with rows of keys replica,
+    height_x, height_xhat and case (the tag's value or null); ``fmt="csv"``
+    gives ``replica,height_x,height_xhat,case`` rows (an empty case for None)
+    and ignores which.  Each row fills one template, so no row object is built."""
+    case_text = _CASE_TEXT[fmt]
+    texts = repeat(case_text[None]) if cases is None else map(case_text.__getitem__, cases)
+    rows = map(_ROW[fmt].format, count(), height_x, height_xhat, texts)
+    if fmt == "csv":
+        return "\n".join(chain(("replica,height_x,height_xhat,case",), rows)) + "\n"
+    body = ",\n".join(rows)
+    samples = f"[\n{body}\n  ]" if body else "[]"
+    return f'{{\n  "mode": "mc",\n  "samples": {samples},\n  "which": {json.dumps(which)}\n}}\n'
+
+
 def samples_to_csv(samples: Iterable[CoupledSample]) -> str:
     """Serialize a batch as ``replica,height_x,height_xhat,case`` rows."""
-    lines = ["replica,height_x,height_xhat,case"]
-    for i, s in enumerate(samples):
-        case = s.case_tag.value if s.case_tag is not None else ""
-        lines.append(f"{i},{s.height_x},{s.height_xhat},{case}")
-    return "\n".join(lines) + "\n"
+    samples = list(samples)
+    return render_samples(
+        "csv",
+        "",
+        [s.height_x for s in samples],
+        [s.height_xhat for s in samples],
+        [s.case_tag for s in samples],
+    )

@@ -250,6 +250,14 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
+# Every hash constant is fixed, so the chains and their columns are built once.
+_POOL_CHAIN = _chain(_INIT_A, _MULT_A, 24)  # 16 hashes for the pool, 4 per key word
+_LOW_WORD = _columns(_POOL_CHAIN[16:21])
+_HIGH_WORD = _columns(_POOL_CHAIN[20:25])
+# generate_state hashes the pool cycled twice: (2, 4, 1) constants over (4, R) lanes
+_STATE_WORDS = tuple(c.reshape(2, 4, 1) for c in _columns(_chain(_INIT_B, _MULT_B, 8)))
+
+
 def _stream_words(master_seed: int, keys: np.ndarray) -> np.ndarray:
     """``(len(keys), 4)`` uint64 array whose row j equals
     ``SeedSequence(master_seed, spawn_key=(keys[j],)).generate_state(4, np.uint64)``,
@@ -259,21 +267,23 @@ def _stream_words(master_seed: int, keys: np.ndarray) -> np.ndarray:
     the pool size, then the key's words (one below 2^32, else two).  The pool
     after the first four words is the same for every key, so it is mixed
     once; each key word then goes into all four pool words of all keys at
-    once, as a (4, len(keys)) array."""
-    a = _chain(_INIT_A, _MULT_A, 24)  # 16 hashes for the pool, 4 per key word
-    hashes = zip(a, a[1:])
+    once, as a (4, len(keys)) array.  The high-word pass runs only when some
+    key reaches 2^32."""
+    hashes = zip(_POOL_CHAIN, _POOL_CHAIN[1:])
     pool = [_hash(word, *next(hashes)) for word in (master_seed & _M32, master_seed >> 32, 0, 0)]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hash(pool[src], *next(hashes)))
-    lanes = np.array(pool, dtype=np.uint64)[:, None].repeat(len(keys), axis=1)
+    pool_column = np.array(pool, dtype=np.uint64)[:, None]
+    lanes = _mix(pool_column, _hash(keys & _M32, *_LOW_WORD))
     high = keys >> 32
-    for word, rows, first in ((keys & _M32, slice(None), 16), (high, high > 0, 20)):
-        lanes[:, rows] = _mix(lanes[:, rows], _hash(word[rows], *_columns(a[first : first + 5])))
+    if high.any():
+        rows = high > 0
+        lanes[:, rows] = _mix(lanes[:, rows], _hash(high[rows], *_HIGH_WORD))
     # generate_state: 8 words from the cycled pool, paired little-endian
-    words = _hash(np.tile(lanes, (2, 1)), *_columns(_chain(_INIT_B, _MULT_B, 8)))
-    return (words[0::2] | words[1::2] << 32).T
+    words = _hash(lanes, *_STATE_WORDS).reshape(4, 2, -1)
+    return (words[:, 0] | words[:, 1] << 32).T
 
 
 def uniform_rows(master_seed: int, start: int, stop: int, count: int) -> np.ndarray:

@@ -1,14 +1,20 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frostree import (
+    ChoiceSequence,
     RngStream,
     SimulationReport,
     TreeArena,
@@ -17,7 +23,7 @@ from frostree import (
     parse_sequence,
     samples_to_csv,
 )
-from frostree import cli
+from frostree import cli, coupling
 from frostree.cli import main
 
 
@@ -266,6 +272,68 @@ def test_couple_output_bytes_are_pinned(capsys, which, mode, fmt):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == COUPLE_DIGESTS[which, mode, fmt]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_reduce_mc_builds_no_samples_and_calls_no_json_dumps(capsys, monkeypatch, fmt):
+    def fail(*args, **kwargs):
+        raise AssertionError("couple --mode mc built a sample object or called json.dumps")
+
+    monkeypatch.setattr(cli, "json", types.SimpleNamespace(dumps=fail))
+    monkeypatch.setattr(coupling, "CoupledSample", fail)
+    argv = ["couple", "--which", "reduce", *COUPLE_ARGS["reduce"], "--format", fmt,
+            "--replicas", "40", "--seed", "7"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == COUPLE_DIGESTS["reduce", "mc", fmt]
+
+
+@st.composite
+def reducible_walks(draw):
+    """A leading attach run of k >= 1, the freeze after it, free steps that
+    keep the walk positive, and optionally freezes down to 0."""
+    k = draw(st.integers(1, 6))
+    signs, s = [1] * k + [-1], k
+    for is_attach in draw(st.lists(st.booleans(), max_size=30)):
+        step = 1 if is_attach or s == 1 else -1
+        signs.append(step)
+        s += step
+    if draw(st.booleans()):
+        signs += [-1] * s
+    return ChoiceSequence.from_signs(signs)
+
+
+def stdout_of(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seq=reducible_walks(),
+    seed=st.one_of(st.integers(0, 2**32), st.integers(2**64 - 3, 2**64 + 3)),
+    replicas=st.integers(1, 25),
+    max_batch=st.integers(1, 6),
+)
+def test_reduce_mc_bytes_match_the_per_replica_loop_across_batches(
+    seq, seed, replicas, max_batch
+):
+    samples = [couple_reduce(seq, RngStream(seed, i)) for i in range(replicas)]
+    rows = [
+        {"replica": i, "height_x": s.height_x, "height_xhat": s.height_xhat, "case": None}
+        for i, s in enumerate(samples)
+    ]
+    want_json = json.dumps(
+        {"which": "reduce", "mode": "mc", "samples": rows}, sort_keys=True, indent=2
+    ) + "\n"
+    argv = ["couple", "--which", "reduce", "--seq", seq.text,
+            "--replicas", str(replicas), "--seed", str(seed)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forward, "MAX_BATCH", max_batch)
+        assert stdout_of(argv) == want_json
+        assert stdout_of([*argv, "--format", "csv"]) == samples_to_csv(samples)
 
 
 class TestCompare:

@@ -1,11 +1,15 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from frostree import coupling
 from frostree import (
     ChoiceSequence,
+    CoupledSample,
     FreezeCase,
     InvalidSequence,
     MonteCarloDriver,
@@ -27,6 +31,7 @@ from frostree import (
     samples_to_csv,
     walk_profile,
 )
+from frostree.coupling import render_samples
 
 R = RngStream
 
@@ -380,3 +385,52 @@ class TestCsv:
             fields = line.split(",")
             assert fields[0] == str(i)
             assert fields[3] in {c.value for c in FreezeCase}
+
+
+# --------------------------------------------------------------------------
+# The row renderer against json.dumps and the per-sample CSV loop
+
+
+def csv_loop(samples):
+    """The per-sample loop ``samples_to_csv`` ran before the renderer."""
+    lines = ["replica,height_x,height_xhat,case"]
+    for i, s in enumerate(samples):
+        case = s.case_tag.value if s.case_tag is not None else ""
+        lines.append(f"{i},{s.height_x},{s.height_xhat},{case}")
+    return "\n".join(lines) + "\n"
+
+
+heights = st.integers(0, 10**6)
+coupled_samples = st.builds(
+    CoupledSample, heights, heights, st.one_of(st.none(), st.sampled_from(FreezeCase))
+)
+EVERY_CASE = [CoupledSample(10**6, 0, tag) for tag in (None, *FreezeCase)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    which=st.sampled_from(["reduce", "prop_i", "prop_ii", "prop_iii"]),
+    samples=st.lists(coupled_samples, min_size=1, max_size=30),
+    tagged=st.booleans(),
+)
+@example(which="prop_ii", samples=EVERY_CASE, tagged=True)
+@example(which="reduce", samples=[CoupledSample(10**6, 10**6)], tagged=False)
+def test_render_samples_matches_json_dumps_and_the_csv_loop(which, samples, tagged):
+    if not tagged:
+        samples = [CoupledSample(s.height_x, s.height_xhat) for s in samples]
+    height_x = [s.height_x for s in samples]
+    height_xhat = [s.height_xhat for s in samples]
+    cases = [s.case_tag for s in samples] if tagged else None
+    rows = [
+        {
+            "replica": i,
+            "height_x": s.height_x,
+            "height_xhat": s.height_xhat,
+            "case": s.case_tag.value if s.case_tag else None,
+        }
+        for i, s in enumerate(samples)
+    ]
+    want = json.dumps({"which": which, "mode": "mc", "samples": rows}, sort_keys=True, indent=2)
+    assert render_samples("json", which, height_x, height_xhat, cases) == want + "\n"
+    assert render_samples("csv", which, height_x, height_xhat, cases) == csv_loop(samples)
+    assert samples_to_csv(samples) == csv_loop(samples)
