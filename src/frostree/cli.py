@@ -7,6 +7,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .coupling import (
@@ -42,7 +43,15 @@ from .rng import RngStream, law_of
 from .sequences import parse_sequence
 
 
+class _EnvSeed(str):
+    """--seed's default, which stands for FROSTREE_SEED: ``_seed`` reads the
+    variable when a command line is parsed, since one parser serves every
+    ``main`` call of a process."""
+
+
 def _seed(text: str) -> int:
+    if isinstance(text, _EnvSeed):
+        text = os.environ.get("FROSTREE_SEED", "0")
     try:
         seed = int(text)
     except ValueError:
@@ -58,12 +67,12 @@ def _seed(text: str) -> int:
 def _add_seed(p: argparse.ArgumentParser) -> None:
     # argparse runs a string default through type= only when --seed is absent,
     # so a bad FROSTREE_SEED is a usage error of the seeded subcommands alone
-    p.add_argument(
-        "--seed", type=_seed, default=os.environ.get("FROSTREE_SEED", "0")
-    )
+    p.add_argument("--seed", type=_seed, default=_EnvSeed("FROSTREE_SEED"))
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="frostree",
         description="Build, enumerate and compare uniform attachment trees with freezing.",

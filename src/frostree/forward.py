@@ -6,12 +6,22 @@ freezes it.  After j steps the number of active vertices equals the walk value
 at j, which is what makes valid sequences exactly the executable ones.
 
 ``forward_height`` is the one-replica kernel (and, under ``ExhaustiveDriver``,
-the oracle).  ``forward_heights`` runs a batch of replicas, one
-``MonteCarloDriver`` each, with one numpy step for the whole batch: every
-replica has exactly s_j actives after step j, so the batch state is a
-rectangular array.  It draws exactly what ``forward_height`` draws per driver.
-A freeze-free batch draws one index block, so it may also be a
-``StreamRange`` of fresh streams.
+the oracle).  ``forward_heights`` runs a batch of replicas, given as
+``MonteCarloDriver``s or as a ``StreamRange`` of fresh streams, with one numpy
+step for the whole batch: every replica has exactly s_j actives after step j,
+so the batch state is a rectangular array.  It draws exactly what
+``forward_height`` draws per stream.  A freeze-free batch draws one index
+block; a batch with freezes draws in time blocks (``rng.IndexColumns``), from
+generators seeded once per stream, into buffers that every block reuses.
+
+Where the walk is back at 1 the tree regrows from a lone active vertex, so
+the steps up to the next such time (an excursion) act on a replica only
+through that vertex's depth.  Within a time block, each group of equal
+excursions runs once from relative depth 0, with one lane per (excursion,
+replica); each lane gives the survivor's depth change and the excursion's
+deepest vertex, and a cumulative sum in time order folds them into the
+replicas' depths and heights.  ``(+-)^n`` is back at 1 after every second
+step, so its 2n steps become a few numpy calls per time block.
 """
 
 from __future__ import annotations
@@ -24,12 +34,12 @@ import numpy as np
 from .errors import InvalidSequence
 from .rng import (
     Driver,
+    IndexColumns,
     MonteCarloDriver,
     RngStream,
     StreamRange,
     _as_driver,
     index_block,
-    stream_drivers,
 )
 from .sequences import ChoiceSequence, Step, quoted, require_valid
 from .tree import Status, TreeArena
@@ -156,43 +166,143 @@ def forward_heights(
     if seq.freeze_count == 0:
         parents = index_block(drivers, np.arange(1, len(seq) + 1))
         return depths_from_parents(parents).max(axis=1)
-    if isinstance(drivers, StreamRange):
-        # time blocks continue each stream, so every row keeps a driver
-        drivers = stream_drivers(drivers.master_seed, drivers.start, drivers.stop)
 
-    replicas = len(drivers)
-    s_values = seq.walk.s_values
-    flags = seq.attach_flags()
-    # state[p, r] is the depth of replica r's active vertex at position p;
-    # a replica's position p sits at flat offset p * replicas + r
-    state = np.zeros((seq.walk.max_value, replicas), dtype=np.int32)
-    flat = state.reshape(-1)
-    columns = np.arange(replicas)
-    one = np.int32(1)  # a Python int would be converted on every call
-    height = np.zeros(replicas, dtype=np.int32)
-    block = max(1, INDEX_BLOCK // replicas)
-    parent_depths = np.empty((min(block, len(seq)), replicas), dtype=np.int32)
-    for t0 in range(0, len(seq), block):
-        t1 = min(t0 + block, len(seq))
-        idx = index_block(drivers, seq.sizes[t0:t1])
-        offsets = np.empty((t1 - t0, replicas), dtype=np.intp)
-        np.multiply(idx.T, replicas, out=offsets)
-        offsets += columns
-        attaches = 0
-        for is_attach, s, at in zip(flags[t0:t1], s_values[t0:t1], offsets):
-            if is_attach:
-                # the new vertex takes position s; mode "clip" (indices are in
-                # range) lets take write to out without a buffer copy
-                parent = parent_depths[attaches]
-                flat.take(at, None, parent, "clip")
-                np.add(parent, one, state[s])
-                attaches += 1
-            else:
-                # swap-remove: the vertex at position s - 1 replaces the frozen one
-                flat[at] = state[s - 1]
+    n = len(seq)
+    block = min(max(1, INDEX_BLOCK // len(drivers)), n)
+    # the walk is 1 at these times: the tree regrows from a lone active vertex
+    cuts = np.flatnonzero(seq.sizes == 1)
+    if seq.walk.final == 1:
+        cuts = np.append(cuts, n)
+    batch = _Batch(seq, len(drivers), block)
+    draws = IndexColumns(drivers, block)
+    for t0 in range(0, n, block):
+        t1 = min(t0 + block, n)
+        columns = draws.next(seq.sizes[t0:t1])
+        first, last = np.searchsorted(cuts, (t0, t1 + 1))
+        if last - first < 2:
+            batch.run(t0, t1, columns)
+        else:
+            batch.run(t0, int(cuts[first]), columns[: cuts[first] - t0])
+            batch.excursions(cuts[first:last], columns[cuts[first] - t0 : cuts[last - 1] - t0])
+            batch.run(int(cuts[last - 1]), t1, columns[cuts[last - 1] - t0 :])
+    return batch.height
+
+
+_ONE = np.int32(1)  # a Python int would be converted on every call
+_PATTERN_BITS = 62  # excursions up to this length are grouped by their steps
+
+
+class _Batch:
+    """A batch of forward builds with freezes, run time block by time block.
+
+    ``state[p, r]`` is the depth of replica r's active vertex at position p;
+    ``height[r]`` is its running height.  Steps between two times at which
+    the walk is 1 form an excursion: it starts from a lone active vertex and
+    ends with one, so it acts on a replica's state only through that vertex's
+    depth.  ``excursions`` runs each group of equal excursions of a time
+    block once from relative depth 0, with one lane per (excursion, replica),
+    and folds the lanes' results into the state in time order.  The buffers
+    hold block * replicas entries, which bounds every array of a block: a
+    group of k excursions of L steps runs k * replicas lanes, and k * L <=
+    block."""
+
+    def __init__(self, seq: ChoiceSequence, replicas: int, block: int):
+        self.flags, self.s_values = seq.attach_flags(), seq.walk.s_values
+        sizes = seq.sizes
+        self.steps_up = np.append(sizes[1:] > sizes[:-1], seq.walk.final > sizes[-1])
+        self.replicas = replicas
+        self.state = np.zeros((seq.walk.max_value, replicas), dtype=np.int32)
+        self.height = np.zeros(replicas, dtype=np.int32)
+        entries = block * replicas
+        self.offsets = np.empty(entries, dtype=np.intp)
+        self.parent_depths = np.empty(entries, dtype=np.int32)
+        self.lane_state = np.empty(entries, dtype=np.int32)
+        self.lane_ids = np.arange(max(entries // 2, replicas), dtype=np.intp)
+        self.folds = np.empty((2, entries // 2), dtype=np.int32)
+
+    def run(self, a: int, b: int, columns: np.ndarray) -> None:
+        """Steps a..b-1 on the batch's own state; columns holds their indices."""
+        if a == b:
+            return
+        replicas = self.replicas
+        at = self.offsets[: (b - a) * replicas].reshape(b - a, replicas)
+        np.multiply(columns, replicas, out=at)
+        at += self.lane_ids[:replicas]
+        depths = self.parent_depths[: (b - a) * replicas].reshape(b - a, replicas)
+        attaches = _steps(self.state, self.flags[a:b], self.s_values[a:b], at, depths)
         if attaches:
-            np.maximum(height, parent_depths[:attaches].max(axis=0) + one, out=height)
-    return height
+            np.maximum(self.height, depths[:attaches].max(axis=0) + _ONE, out=self.height)
+
+    def excursions(self, cuts: np.ndarray, columns: np.ndarray) -> None:
+        """The excursions between consecutive times of cuts (at least two, all
+        with walk value 1); columns holds the indices of steps cuts[0]..cuts[-1]-1."""
+        replicas = self.replicas
+        count = len(cuts) - 1
+        # the survivor's depth change and the excursion's deepest vertex,
+        # relative to its root, per (excursion, replica)
+        shift, reach = (f[: count * replicas].reshape(count, replicas) for f in self.folds)
+        keys = self._pattern_keys(cuts)
+        order = np.argsort(keys, kind="stable")
+        for members in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
+            a, b = int(cuts[members[0]]), int(cuts[members[0] + 1])
+            lanes = len(members) * replicas
+            # lane i * replicas + r runs replica r's copy of excursion members[i]
+            at = self.offsets[: (b - a) * lanes].reshape(b - a, len(members), replicas)
+            grid = np.add.outer(np.arange(b - a), cuts[members] - cuts[0])
+            np.take(columns, grid, axis=0, out=at, mode="clip")
+            at = at.reshape(b - a, lanes)
+            at *= lanes
+            at += self.lane_ids[:lanes]
+            walk = self.lane_state[: max(self.s_values[a : b + 1]) * lanes].reshape(-1, lanes)
+            walk[0] = 0
+            depths = self.parent_depths[: (b - a) // 2 * lanes].reshape(-1, lanes)
+            _steps(walk, self.flags[a:b], self.s_values[a:b], at, depths)
+            shift[members] = walk[0].reshape(-1, replicas)
+            reach[members] = (depths.max(axis=0) + _ONE).reshape(-1, replicas)
+        # excursion i starts at the root's depth plus the shifts before it
+        reach -= shift
+        np.cumsum(shift, axis=0, dtype=np.int32, out=shift)
+        reach += shift
+        root = self.state[0]
+        np.maximum(self.height, reach.max(axis=0) + root, out=self.height)
+        root += shift[-1]
+
+    def _pattern_keys(self, cuts: np.ndarray) -> np.ndarray:
+        """One key per excursion between consecutive times of cuts; equal keys
+        mean equal steps.  An excursion of at most ``_PATTERN_BITS`` steps is
+        keyed by its attach flags packed below a sentinel bit at its length,
+        which is exact; a longer one gets a key of its own."""
+        lengths = np.diff(cuts)
+        span = np.arange(cuts[0], cuts[-1])
+        # shifts stop at the sentinel's bit; the keys they spoil are replaced
+        offset = np.minimum(span - np.repeat(cuts[:-1], lengths), _PATTERN_BITS)
+        bits = self.steps_up[cuts[0] : cuts[-1]].astype(np.uint64) << offset.astype(np.uint64)
+        sentinel = np.uint64(1) << np.minimum(lengths, _PATTERN_BITS).astype(np.uint64)
+        keys = np.add.reduceat(bits, cuts[:-1] - cuts[0]) | sentinel
+        long = lengths > _PATTERN_BITS
+        keys[long] = np.uint64(1 << 63) + np.flatnonzero(long).astype(np.uint64)
+        return keys
+
+
+def _steps(state, flags, s_values, offsets, parent_depths) -> int:
+    """Run steps on state (positions x lanes), one row of offsets per step:
+    entry (index * lanes + lane) is the flat offset of the lane's drawn
+    active vertex.  Writes each attach's parent depths into a row of
+    parent_depths; returns the number of attaches."""
+    flat = state.reshape(-1)
+    attaches = 0
+    for is_attach, s, at in zip(flags, s_values, offsets):
+        if is_attach:
+            # the new vertex takes position s; mode "clip" (indices are in
+            # range) lets take write to out without a buffer copy
+            parent = parent_depths[attaches]
+            flat.take(at, None, parent, "clip")
+            np.add(parent, _ONE, state[s])
+            attaches += 1
+        else:
+            # swap-remove: the vertex at position s - 1 replaces the frozen one
+            flat[at] = state[s - 1]
+    return attaches
 
 
 # --------------------------------------------------------------------------

@@ -17,20 +17,26 @@ get certified against exact ones.  This module is the only place where a
 uniform float becomes an index.
 
 Stream ``(master_seed, i)`` is numpy's ``SeedSequence(master_seed,
-spawn_key=(i,))`` feeding a PCG64 generator.  A batch of fresh streams that
-draws a fixed number of uniforms per replica (a ``StreamRange``) skips the
-per-replica ``SeedSequence``: ``uniform_rows`` hashes all its keys at once with
-a vectorized copy of numpy's seeding (O'Neill's ``seed_seq_fe`` with a pool of
-four words, then PCG64's ``srandom``) and sets each row's state on one reused
-generator.  numpy itself is the test oracle, so a numpy release that changed
-its seeding would fail the tests rather than silently change reports.
-``StreamRange.batches`` cuts a run's streams into such batches.
+spawn_key=(i,))`` feeding a PCG64 generator.  A batch of fresh streams skips
+the per-replica ``SeedSequence``: a vectorized copy of numpy's seeding
+(O'Neill's ``seed_seq_fe`` with a pool of four words) hashes all its keys at
+once into each stream's four seed words.  ``uniform_rows``, for a
+``StreamRange`` that takes a fixed number of uniforms per replica, turns the
+words into PCG64 states with a copy of PCG64's ``srandom`` and sets each on
+one reused generator.  ``stream_generators``, for streams that keep drawing
+(``stream_drivers``, and ``IndexColumns``, which draws a batch's index blocks
+time block by time block into reused buffers), hands each stream's words to a
+PCG64 of its own, which seeds itself from them.  numpy itself is the test
+oracle, so a numpy release that changed its seeding would fail the tests
+rather than silently change reports.  ``StreamRange.batches`` cuts a run's
+streams into batches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -116,12 +122,14 @@ class MonteCarloDriver(_ChoiceDriver):
         self._pos = pos + 1
         return buf[pos]
 
-    def uniform_block(self, count: int) -> np.ndarray:
-        """count fresh uniforms as an array (for vectorized consumers).
+    def uniform_block(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """count fresh uniforms as an array (for vectorized consumers),
+        written into out (a float64 row of length count) when it is given.
 
         Buffered uniforms go first, the rest come straight from the generator;
         a PCG64 stream yields the same doubles however its calls are split."""
-        out = np.empty(count)
+        if out is None:
+            out = np.empty(count)
         buf, pos = self._buf, self._pos
         avail = min(count, len(buf) - pos)
         out[:avail] = buf[pos : pos + avail]
@@ -138,12 +146,14 @@ class MonteCarloDriver(_ChoiceDriver):
 
     def indices(self, sizes: np.ndarray) -> np.ndarray:
         """``[index(k) for k in sizes]`` as an int64 array, from one block."""
-        return index_block((self,), sizes)[0]
+        _check_sizes(sizes)
+        return _to_indices(self.uniform_block(len(sizes)), sizes)
 
 
 def stream_drivers(master_seed: int, start: int, stop: int) -> list[MonteCarloDriver]:
-    """Drivers of replicas start..stop-1; replica i draws from stream (master_seed, i)."""
-    return [MonteCarloDriver(RngStream(master_seed, i)) for i in range(start, stop)]
+    """Drivers of replicas start..stop-1; replica i draws from stream
+    (master_seed, i), as ``MonteCarloDriver(RngStream(master_seed, i))`` does."""
+    return [MonteCarloDriver(g) for g in stream_generators(master_seed, start, stop)]
 
 
 @dataclass(frozen=True)
@@ -169,10 +179,17 @@ class StreamRange:
             yield StreamRange(self.master_seed, first, min(first + size, self.stop))
 
 
-def _to_indices(u: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``min(floor(u * k), k - 1)`` with k the column's entry of sizes; scales u in place."""
+def _to_indices(
+    u: np.ndarray, sizes: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``min(floor(u * k), k - 1)`` with k the entry of sizes that broadcasts
+    to u's entry; scales u in place.  out, an int64 array of u's shape,
+    receives the indices when it is given."""
     u *= sizes
-    out = u.astype(np.int64)
+    if out is None:
+        out = u.astype(np.int64)
+    else:
+        np.copyto(out, u, casting="unsafe")  # truncation is floor on u >= 0
     return np.minimum(out, sizes - 1, out=out)
 
 
@@ -192,8 +209,8 @@ def index_block(
         return index_rows(rows.master_seed, rows.start, rows.stop, sizes)
     _check_sizes(sizes)
     u = np.empty((len(rows), len(sizes)))
-    for r, driver in enumerate(rows):
-        u[r] = driver.uniform_block(len(sizes))
+    for driver, row in zip(rows, u):
+        driver.uniform_block(len(sizes), row)
     return _to_indices(u, sizes)
 
 
@@ -202,6 +219,34 @@ def index_rows(master_seed: int, start: int, stop: int, sizes: np.ndarray) -> np
     through ``uniform_rows``."""
     _check_sizes(sizes)
     return _to_indices(uniform_rows(master_seed, start, stop, len(sizes)), sizes)
+
+
+class IndexColumns:
+    """A batch's index blocks, drawn time block by time block.
+
+    ``next(sizes)`` returns a ``(len(sizes), len(rows))`` array whose column
+    r holds ``rows[r].indices(sizes)``; each call continues every row's
+    stream.  A driver list goes through ``index_block``.  A StreamRange's
+    streams are seeded once, one generator each (``stream_generators``), and
+    every call fills one reused uniform buffer and returns a view of one
+    reused index buffer, valid until the next call; sizes has at most width
+    entries."""
+
+    def __init__(self, rows: Sequence[MonteCarloDriver] | StreamRange, width: int):
+        self._rows = rows
+        if isinstance(rows, StreamRange):
+            self._generators = stream_generators(rows.master_seed, rows.start, rows.stop)
+            self._uniforms = np.empty((len(rows), width))
+            self._columns = np.empty((width, len(rows)), dtype=np.int64)
+
+    def next(self, sizes: np.ndarray) -> np.ndarray:
+        if not isinstance(self._rows, StreamRange):
+            return index_block(self._rows, sizes).T
+        _check_sizes(sizes)
+        u = self._uniforms[:, : len(sizes)]
+        for generator, row in zip(self._generators, u):
+            generator.random(out=row)
+        return _to_indices(u.T, sizes[:, None], self._columns[: len(sizes)])
 
 
 # --------------------------------------------------------------------------
@@ -286,18 +331,59 @@ def _stream_words(master_seed: int, keys: np.ndarray) -> np.ndarray:
     return (words[:, 0] | words[:, 1] << 32).T
 
 
-def uniform_rows(master_seed: int, start: int, stop: int, count: int) -> np.ndarray:
-    """``(stop - start, count)`` float64 block whose row i - start holds the
-    first count uniforms of ``RngStream(master_seed, i)``, bit for bit.
+@cache
+def _seed_words() -> type:
+    """The class that hands a stream's four seed words to PCG64 as a seed
+    sequence: PCG64 seeds itself from ``generate_state(4, np.uint64)`` (its
+    srandom), so it starts where it starts from the SeedSequence that gave
+    the words.  Built on first use, since numpy.random loads lazily and a
+    run that draws nothing need not pay for it."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    The streams' PCG64 states come from one vectorized hash of their keys
-    (``_stream_words``); each is set on one reused generator, which fills
-    its row.  Master seeds are masked to 64 bits as ``RngStream`` masks them."""
+    class SeedWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return SeedWords
+
+
+def _range_words(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """``_stream_words`` of the streams (master_seed, i), start <= i < stop,
+    after the checks ``RngStream`` makes (master seeds masked to 64 bits)."""
     master_seed = _checked_seed(master_seed)
     if not 0 <= start <= stop:
         raise ValueError(f"need 0 <= start <= stop, got start={start}, stop={stop}")
     if stop > 1 << 64:
         raise ValueError(f"stream indices must be below 2^64, got stop={stop}")
+    return _stream_words(master_seed, np.fromiter(range(start, stop), np.uint64, stop - start))
+
+
+def stream_generators(master_seed: int, start: int, stop: int) -> list[np.random.Generator]:
+    """Generators of the streams (master_seed, i), start <= i < stop, each in
+    the state ``RngStream(master_seed, i).generator()`` starts in.
+
+    One ``_stream_words`` hash seeds them all (about 2 us per stream against
+    about 20 us for a ``SeedSequence``)."""
+    # PCG64 reads the words' memory: each row must be contiguous
+    words = np.ascontiguousarray(_range_words(master_seed, start, stop))
+    seed_words = _seed_words()
+    return [np.random.Generator(np.random.PCG64(seed_words(row))) for row in words]
+
+
+def uniform_rows(master_seed: int, start: int, stop: int, count: int) -> np.ndarray:
+    """``(stop - start, count)`` float64 block whose row i - start holds the
+    first count uniforms of ``RngStream(master_seed, i)``, bit for bit.
+
+    Each row's PCG64 state comes from its ``_stream_words`` by PCG64's
+    srandom, copied here, and is set on one reused generator, which fills
+    the row: a generator per row would leave the cyclic garbage collector
+    some thousand objects per call to track."""
+    words = _range_words(master_seed, start, stop)
     if count < 0:
         raise ValueError(f"uniform count must be nonnegative, got {count}")
     out = np.empty((stop - start, count))
@@ -305,8 +391,7 @@ def uniform_rows(master_seed: int, start: int, stop: int, count: int) -> np.ndar
     generator = np.random.Generator(bit_generator)
     state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
     pcg = state["state"]
-    keys = np.fromiter(range(start, stop), np.uint64, stop - start)
-    for row, (v0, v1, v2, v3) in zip(out, _stream_words(master_seed, keys).tolist()):
+    for row, (v0, v1, v2, v3) in zip(out, words.tolist()):
         # PCG64 srandom: inc from words 2-3, state from words 0-1 and two LCG steps
         inc = ((v2 << 64 | v3) << 1 | 1) & _MASK128
         pcg["inc"] = inc

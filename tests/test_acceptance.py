@@ -273,6 +273,25 @@ def test_criterion_10_growth_bands():
     )
 
 
+def test_alternating_height_law_exact_and_at_monte_carlo_scale():
+    # each +- leaves one active vertex, the new child or its parent with chance
+    # 1/2 each; the last attach sets the height, so it is 1 + Bin(n - 1, 1/2)
+    for n in range(1, 11):
+        law = {1 + k: Fraction(math.comb(n - 1, k), 2 ** (n - 1)) for k in range(n)}
+        assert exact_height_distribution_forward(alternating(n)).masses == law, n
+    # the empirical CDF of run_mc lies in the DKW band around that law
+    n, replicas, alpha = 1000, 5000, 1e-3
+    report = run_mc(alternating(n), replicas, 2718)
+    epsilon = math.sqrt(math.log(2 / alpha) / (2 * replicas))
+    seen = mass = 0
+    distance = 0.0
+    for h in range(1, n + 1):
+        seen += report.histogram.get(h, 0)
+        mass += math.comb(n - 1, h - 1)
+        distance = max(distance, abs(seen / replicas - mass / 2 ** (n - 1)))
+    assert distance <= epsilon, f"KS distance {distance:.4f} > DKW epsilon {epsilon:.4f}"
+
+
 def test_criterion_11_bennett_tails():
     n, p, draws = 200, 0.05, 1_000_000
     mean_sum = n * p

@@ -99,6 +99,84 @@ def test_batches_merge_to_the_scalar_histogram(seq, seed, start, replicas):
         assert montecarlo._replica_heights(seq, seed, start, start + replicas) == want
 
 
+@st.composite
+def hovering_walks(draw):
+    """Walks that keep coming back to 1, where the tree regrows from a lone
+    active vertex: short excursions (+-, ++--, +(+-)^k-, +^j-^j, so equal
+    lengths with unequal steps occur), optionally one excursion of 62 to 82
+    steps (either side of the longest one grouped by its steps), an optional
+    tail that stays above 1, and an optional freeze run down to 0."""
+    short = st.one_of(
+        st.just("+-"),
+        st.just("++--"),
+        st.integers(1, 4).map(lambda k: "+" + "+-" * k + "-"),
+        st.integers(1, 4).map(lambda j: "+" * j + "-" * j),
+    )
+    pieces = draw(st.lists(short, max_size=40))
+    if draw(st.booleans()):
+        k = draw(st.integers(30, 40))
+        pieces.insert(draw(st.integers(0, len(pieces))), "+" + "+-" * k + "-")
+    signs = [1 if c == "+" else -1 for c in "".join(pieces)]
+    s = 1
+    if draw(st.booleans()):
+        signs.append(1)
+        s = 2
+        for is_attach in draw(st.lists(st.booleans(), max_size=12)):
+            if is_attach or s == 2:
+                signs.append(1)
+                s += 1
+            else:
+                signs.append(-1)
+                s -= 1
+    if draw(st.booleans()):
+        signs += [-1] * s
+    if not signs:
+        signs = [-1]
+    return ChoiceSequence.from_signs(signs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seq=hovering_walks(),
+    seed=st.one_of(st.integers(0, 2**32), st.integers(2**64 - 5, 2**65)),
+    start=st.one_of(st.integers(0, 10**6), st.integers(2**32 - 8, 2**32 + 8)),
+    replicas=st.integers(1, 9),
+    block=st.sampled_from([1, 5, 64, 1 << 16]),
+)
+def test_excursion_lanes_equal_scalar_per_replica(seq, seed, start, replicas, block):
+    assert_excursion_lanes_match(seq, seed, start, start + replicas, block)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(++-+--+++---)^6",  # equal lengths, unequal steps
+        "+-(+(+-)^31-+(+-)^30-++--)^2",  # 64 and 62 steps: either side of the packed keys
+        "(+-)^9++-+--+^3(+-)^4",  # a tail above 1
+        "(+^3-^3+-)^4-",  # ends at 0
+    ],
+)
+@pytest.mark.parametrize("block", [1, 5, 64, 1 << 16])
+@pytest.mark.parametrize("replicas", [1, 4, 9])
+def test_excursion_lanes_on_fixed_walks(text, block, replicas):
+    assert_excursion_lanes_match(parse_sequence(text), 7, 100, 100 + replicas, block)
+
+
+def assert_excursion_lanes_match(seq, seed, start, stop, block):
+    want = [forward_height(seq, RngStream(seed, i)) for i in range(start, stop)]
+    batch = drivers(seed, start, stop)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forward, "INDEX_BLOCK", block)
+        assert forward_heights(seq, batch).tolist() == want
+        assert forward_heights(seq, StreamRange(seed, start, stop)).tolist() == want
+    # each driver stands where the scalar kernel leaves it
+    scalar = drivers(seed, start, stop)
+    for driver in scalar:
+        forward_height(seq, driver)
+    sizes = np.array([2, 7, 1000])
+    assert [d.indices(sizes).tolist() for d in batch] == [d.indices(sizes).tolist() for d in scalar]
+
+
 def test_index_block_rows_and_time_blocks_match_indices():
     sizes = np.array([1, 2, 3, 7, 2, 1, 9, 4, 4, 13])
     whole = index_block(drivers(11, 5, 9), sizes)

@@ -146,6 +146,20 @@ class TestSeed:
         )
         assert code == 0 and json.loads(out)["seed"] == 5
 
+    def test_env_seed_is_read_at_each_call(self, capsys, monkeypatch):
+        # one parser serves every call of the process
+        argv = ("simulate", "--seq", "(+-)^20", "--replicas", "40")
+        reports = {}
+        for seed in ("3", "8"):
+            monkeypatch.setenv("FROSTREE_SEED", seed)
+            reports[seed] = run_cli(capsys, *argv)
+        monkeypatch.delenv("FROSTREE_SEED")
+        for seed, (code, out, _) in reports.items():
+            assert code == 0 and json.loads(out)["seed"] == int(seed)
+            assert out == run_cli(capsys, *argv, "--seed", seed)[1]
+        assert reports["3"][1] != reports["8"][1]
+        assert cli._build_parser() is cli._build_parser()
+
     def test_unseeded_subcommand_ignores_env(self, capsys, monkeypatch):
         monkeypatch.setenv("FROSTREE_SEED", "abc")
         code, out, _ = run_cli(capsys, "bound", "--mean-sum", "1", "--t", "1")

@@ -155,6 +155,25 @@ def test_index_rows_equal_index_block_of_stream_drivers(master_seed, start, repl
     assert np.array_equal(index_block(StreamRange(master_seed, start, stop), sizes), want)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(st.integers(0, 2**32), st.integers(2**64 - 3, 2**66)),
+    st.one_of(st.integers(0, 10**6), st.integers(2**32 - 4, 2**32 + 4)),
+    st.integers(1, 4),
+    st.sampled_from([1, 64, 5000]),
+)
+def test_stream_drivers_draw_as_rng_stream_drivers(master_seed, start, replicas, count):
+    stop = start + replicas
+    got = stream_drivers(master_seed, start, stop)
+    want = [MonteCarloDriver(RngStream(master_seed, i)) for i in range(start, stop)]
+    full = 2**53  # index(2^53) is the uniform's 53 bits, so equal indices mean equal uniforms
+    for g, w in zip(got, want):
+        # index() takes from the refills, uniform_block() from them and then the generator
+        assert [g.index(full) for _ in range(count)] == [w.index(full) for _ in range(count)]
+        assert np.array_equal(g.uniform_block(count), w.uniform_block(count))
+        assert [g.index(full) for _ in range(70)] == [w.index(full) for _ in range(70)]
+
+
 class TestUniformRowsInput:
     def test_negative_master_seed_raises_as_rng_stream_does(self):
         with pytest.raises(ValueError) as stream:
