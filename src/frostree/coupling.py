@@ -335,10 +335,11 @@ def couple_reduce_columns(
 ) -> tuple[list[int], list[int]]:
     """The ``(height_x, height_xhat)`` columns of
     ``[couple_reduce(seq, RngStream(master_seed, i)) for i in range(replicas)]``
-    through :func:`couple_reduce_heights`, in batches of at most
-    ``forward.MAX_BATCH`` replicas whose index block holds at most
-    ``forward.INDEX_BLOCK`` entries (or one replica's draws).  Each batch is a
-    ``StreamRange``, drawn through ``uniform_rows``."""
+    through :func:`couple_reduce_heights`, in batches sized by the index
+    block: as many replicas as fit ``forward.INDEX_BLOCK`` entries of draws
+    (at least one), at most ``forward.MAX_BATCH``: 80 draws per replica make
+    batches of 819.  Each batch is a ``StreamRange`` drawn through
+    ``uniform_rows``, so it holds no generator."""
     draws = len(_reduce_sizes(seq, _reducible_run(seq)))
     per_batch = max(1, min(forward.MAX_BATCH, forward.INDEX_BLOCK // draws))
     height_x: list[int] = []

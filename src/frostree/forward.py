@@ -137,21 +137,22 @@ def forward_height(seq: ChoiceSequence, rng: RngStream | Driver) -> int:
 
 INDEX_BLOCK = 1 << 16  # entries of one (replicas x steps) index block
 STATE_BYTES = 1 << 23  # bytes of one batch's active-depth state
-MAX_BATCH = 256  # replicas per batch; each holds a generator of about 1 kB
+MAX_BATCH = 1024  # replicas per batch, whatever the batch holds
+TIME_BLOCKED_BATCH = 256  # sqrt(INDEX_BLOCK): replicas per batch with freezes
 
 
 def batch_replicas(seq: ChoiceSequence) -> int:
-    """Replicas per ``forward_heights`` batch on seq.
+    """Replicas per ``forward_heights`` batch on seq, at most MAX_BATCH.
 
-    A freeze-free batch keeps all its indices, so it is one index block; a
-    forward batch keeps s_max active depths per replica.  The cap of 256
-    (the square root of INDEX_BLOCK) balances the per-step numpy call, which
-    a larger batch shares more widely, against the per-row generator call of
-    each time block, which a larger batch makes more frequent."""
+    A freeze-free batch keeps all its indices, so it is one index block.  A
+    batch with freezes keeps s_max int32 active depths per replica and draws
+    each time block by one generator call per replica: TIME_BLOCKED_BATCH
+    balances the per-step numpy call, which a larger batch shares more
+    widely, against those per-row calls, which it makes more frequent."""
     if seq.freeze_count == 0:
         per_batch = INDEX_BLOCK // max(len(seq), 1)
     else:
-        per_batch = STATE_BYTES // (4 * seq.walk.max_value)  # int32 depths
+        per_batch = min(TIME_BLOCKED_BATCH, STATE_BYTES // (4 * seq.walk.max_value))
     return max(1, min(MAX_BATCH, per_batch))
 
 
@@ -163,6 +164,8 @@ def forward_heights(
     same order.  Batches of ``batch_replicas(seq)`` drivers keep the memory
     bounds.  Raises InvalidSequence when the walk dies early."""
     require_valid(seq)
+    if len(drivers) == 0:
+        return np.zeros(0, dtype=np.int64)
     if seq.freeze_count == 0:
         parents = index_block(drivers, np.arange(1, len(seq) + 1))
         return depths_from_parents(parents).max(axis=1)

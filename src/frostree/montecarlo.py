@@ -5,11 +5,12 @@ by commutative addition, so a run's output is a pure function of
 (sequence, replicas, master_seed) no matter how work is scheduled.
 
 ``run_mc`` cuts the replicas into batches of ``forward.batch_replicas(seq)``
-and runs each batch through ``forward.forward_heights`` as a ``StreamRange``:
-one numpy step per sequence step for the whole batch, with the excursions
-between returns of the walk to 1 run side by side as lanes, from generators
-seeded once per stream; or, for a freeze-free sequence, one pointer doubling
-over the batch's parent arrays, drawn as one ``uniform_rows`` block.
+and runs each batch through ``forward.forward_heights`` as a ``StreamRange``.
+A batch with freezes (at most 256 replicas) takes one numpy step per sequence
+step for the whole batch, with the excursions between returns of the walk to
+1 run side by side as lanes, from generators seeded once per stream.  A
+freeze-free batch (one index block: 655 replicas of ``+^100``) takes one
+pointer doubling over its parent arrays, drawn as one ``uniform_rows`` block.
 A batched step has a fixed cost whatever the batch width, so splitting a batch
 over processes saves little; the pool starts only when every worker gets at
 least two batches.

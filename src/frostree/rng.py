@@ -20,16 +20,16 @@ Stream ``(master_seed, i)`` is numpy's ``SeedSequence(master_seed,
 spawn_key=(i,))`` feeding a PCG64 generator.  A batch of fresh streams skips
 the per-replica ``SeedSequence``: a vectorized copy of numpy's seeding
 (O'Neill's ``seed_seq_fe`` with a pool of four words) hashes all its keys at
-once into each stream's four seed words.  ``uniform_rows``, for a
-``StreamRange`` that takes a fixed number of uniforms per replica, turns the
-words into PCG64 states with a copy of PCG64's ``srandom`` and sets each on
-one reused generator.  ``stream_generators``, for streams that keep drawing
+once into each stream's four seed words, and each stream's PCG64 seeds
+itself from its words with numpy's own ``srandom``.  ``uniform_rows``, for a
+``StreamRange`` that takes a fixed number of uniforms per replica, fills each
+row from its stream's generator and drops the generator before seeding the
+next.  ``stream_generators``, for streams that keep drawing
 (``stream_drivers``, and ``IndexColumns``, which draws a batch's index blocks
-time block by time block into reused buffers), hands each stream's words to a
-PCG64 of its own, which seeds itself from them.  numpy itself is the test
-oracle, so a numpy release that changed its seeding would fail the tests
-rather than silently change reports.  ``StreamRange.batches`` cuts a run's
-streams into batches.
+time block by time block into reused buffers), keeps one generator per
+stream.  numpy itself is the test oracle, so a numpy release that changed its
+seeding would fail the tests rather than silently change reports.
+``StreamRange.batches`` cuts a run's streams into batches.
 """
 
 from __future__ import annotations
@@ -183,14 +183,16 @@ def _to_indices(
     u: np.ndarray, sizes: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """``min(floor(u * k), k - 1)`` with k the entry of sizes that broadcasts
-    to u's entry; scales u in place.  out, an int64 array of u's shape,
-    receives the indices when it is given."""
-    u *= sizes
+    to u's entry, cast from ``min(u * k, k - 1)`` (k - 1 is an exact double);
+    scales and clamps u in place.  out, an int64 array of u's shape, receives
+    the indices when it is given."""
+    k = sizes.astype(np.float64)  # float-only loops: no cast per entry of u
+    u *= k
+    np.minimum(u, k - 1, out=u)
     if out is None:
-        out = u.astype(np.int64)
-    else:
-        np.copyto(out, u, casting="unsafe")  # truncation is floor on u >= 0
-    return np.minimum(out, sizes - 1, out=out)
+        return u.astype(np.int64)
+    np.copyto(out, u, casting="unsafe")  # truncation is floor on u >= 0
+    return out
 
 
 def _check_sizes(sizes: np.ndarray) -> None:
@@ -257,9 +259,6 @@ _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy mixing
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # state generation
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# PCG64's 128-bit LCG multiplier
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
 
 
 def _chain(h: int, mult: int, count: int) -> list[int]:
@@ -363,41 +362,36 @@ def _range_words(master_seed: int, start: int, stop: int) -> np.ndarray:
     return _stream_words(master_seed, np.fromiter(range(start, stop), np.uint64, stop - start))
 
 
-def stream_generators(master_seed: int, start: int, stop: int) -> list[np.random.Generator]:
-    """Generators of the streams (master_seed, i), start <= i < stop, each in
-    the state ``RngStream(master_seed, i).generator()`` starts in.
-
-    One ``_stream_words`` hash seeds them all (about 2 us per stream against
-    about 20 us for a ``SeedSequence``)."""
+def _bit_generators(master_seed: int, start: int, stop: int) -> Iterator[np.random.PCG64]:
+    """The PCG64s of the streams (master_seed, i), start <= i < stop, built
+    one at a time, each in the state ``RngStream(master_seed, i)`` starts in.
+    One ``_stream_words`` hash, checked at the call, seeds them all (about
+    2 us per stream against about 20 us for a ``SeedSequence``)."""
     # PCG64 reads the words' memory: each row must be contiguous
     words = np.ascontiguousarray(_range_words(master_seed, start, stop))
     seed_words = _seed_words()
-    return [np.random.Generator(np.random.PCG64(seed_words(row))) for row in words]
+    return (np.random.PCG64(seed_words(row)) for row in words)
+
+
+def stream_generators(master_seed: int, start: int, stop: int) -> list[np.random.Generator]:
+    """Generators of the streams (master_seed, i), start <= i < stop, each in
+    the state ``RngStream(master_seed, i).generator()`` starts in."""
+    return [np.random.Generator(b) for b in _bit_generators(master_seed, start, stop)]
 
 
 def uniform_rows(master_seed: int, start: int, stop: int, count: int) -> np.ndarray:
     """``(stop - start, count)`` float64 block whose row i - start holds the
     first count uniforms of ``RngStream(master_seed, i)``, bit for bit.
 
-    Each row's PCG64 state comes from its ``_stream_words`` by PCG64's
-    srandom, copied here, and is set on one reused generator, which fills
-    the row: a generator per row would leave the cyclic garbage collector
-    some thousand objects per call to track."""
-    words = _range_words(master_seed, start, stop)
+    Each row's generator fills it and is dropped before the next one is
+    built, so the cyclic garbage collector never sees a growing set of
+    objects."""
+    bit_generators = _bit_generators(master_seed, start, stop)
     if count < 0:
         raise ValueError(f"uniform count must be nonnegative, got {count}")
     out = np.empty((stop - start, count))
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    pcg = state["state"]
-    for row, (v0, v1, v2, v3) in zip(out, words.tolist()):
-        # PCG64 srandom: inc from words 2-3, state from words 0-1 and two LCG steps
-        inc = ((v2 << 64 | v3) << 1 | 1) & _MASK128
-        pcg["inc"] = inc
-        pcg["state"] = ((inc + (v0 << 64 | v1)) * _PCG_MULT + inc) & _MASK128
-        bit_generator.state = state
-        generator.random(out=row)
+    for bit_generator, row in zip(bit_generators, out):
+        np.random.Generator(bit_generator).random(out=row)
     return out
 
 

@@ -263,6 +263,24 @@ def test_batch_state_stays_under_its_budget(s_max):
     assert per_batch * s_max * np.dtype(np.int32).itemsize <= forward.STATE_BYTES
 
 
+@pytest.mark.parametrize("text", ["(+-)^3", "+^3-^4", "+^3"])
+@pytest.mark.parametrize("rows", [[], StreamRange(1, 5, 5)])
+def test_forward_heights_of_no_replicas(text, rows):
+    heights = forward_heights(parse_sequence(text), rows)
+    assert heights.shape == (0,) and heights.dtype == np.int64
+
+
+def test_batches_follow_what_they_hold():
+    # a freeze-free batch is one index block; a time-blocked batch holds
+    # sqrt(INDEX_BLOCK) generators; MAX_BATCH caps both
+    assert batch_replicas(attach_run(100)) == 655
+    assert batch_replicas(attach_run(1)) == forward.MAX_BATCH == 1024
+    assert batch_replicas(alternating(50)) == 256
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forward, "MAX_BATCH", 7)
+        assert batch_replicas(attach_run(100)) == batch_replicas(alternating(50)) == 7
+
+
 @pytest.mark.parametrize("n", [1, 100, 10**4, 10**5])
 def test_freeze_free_batch_is_one_index_block(n):
     per_batch = batch_replicas(attach_run(n))

@@ -350,6 +350,22 @@ def test_reduce_mc_bytes_match_the_per_replica_loop_across_batches(
         assert stdout_of([*argv, "--format", "csv"]) == samples_to_csv(samples)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--seq", "+^100", "--replicas", "1400"],
+        ["couple", "--which", "reduce", "--seq", "+^4-+-^2(+-)^15+-^3", "--replicas", "1700"],
+    ],
+)
+def test_mc_bytes_do_not_depend_on_the_batch_cap(argv):
+    # default caps: +^100 runs in batches of 655, 655 and 90, and the reduce
+    # walk's 42 draws per replica in batches of 1024 and 676
+    default = stdout_of([*argv, "--seed", "5"])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forward, "MAX_BATCH", 7)
+        assert stdout_of([*argv, "--seed", "5"]) == default
+
+
 class TestCompare:
     def test_enumerate_incomparable(self, capsys):
         code, out, _ = run_cli(

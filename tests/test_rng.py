@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -172,6 +173,26 @@ def test_stream_drivers_draw_as_rng_stream_drivers(master_seed, start, replicas,
         assert [g.index(full) for _ in range(count)] == [w.index(full) for _ in range(count)]
         assert np.array_equal(g.uniform_block(count), w.uniform_block(count))
         assert [g.index(full) for _ in range(70)] == [w.index(full) for _ in range(70)]
+
+
+def test_uniform_rows_run_no_cyclic_collection():
+    # each row's generator is dropped before the next is built, so 5000
+    # streams leave the collector no growing set of objects to trace
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    uniform_rows(3, 0, 2, 8)  # load numpy.random and build the seed-word class
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        uniform_rows(3, 0, 5000, 8)
+    finally:
+        gc.callbacks.remove(count)
+    assert starts == []
 
 
 class TestUniformRowsInput:
