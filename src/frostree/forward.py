@@ -159,7 +159,7 @@ def batch_replicas(seq: ChoiceSequence) -> int:
 def forward_heights(
     seq: ChoiceSequence, drivers: list[MonteCarloDriver] | StreamRange
 ) -> np.ndarray:
-    """Heights of len(drivers) forward builds: entry r equals
+    """Int64 heights of len(drivers) forward builds: entry r equals
     ``forward_height(seq, drivers[r])``, drawn from the same uniforms in the
     same order.  Batches of ``batch_replicas(seq)`` drivers keep the memory
     bounds.  Raises InvalidSequence when the walk dies early."""
@@ -188,7 +188,7 @@ def forward_heights(
             batch.run(t0, int(cuts[first]), columns[: cuts[first] - t0])
             batch.excursions(cuts[first:last], columns[cuts[first] - t0 : cuts[last - 1] - t0])
             batch.run(int(cuts[last - 1]), t1, columns[cuts[last - 1] - t0 :])
-    return batch.height
+    return batch.height.astype(np.int64)
 
 
 _ONE = np.int32(1)  # a Python int would be converted on every call

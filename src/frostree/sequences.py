@@ -241,7 +241,7 @@ class WalkProfile:
     s_values: tuple[int, ...]
     tau: int | float
 
-    @property
+    @cached_property
     def max_value(self) -> int:
         return max(self.s_values)
 

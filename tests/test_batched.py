@@ -270,6 +270,13 @@ def test_forward_heights_of_no_replicas(text, rows):
     assert heights.shape == (0,) and heights.dtype == np.int64
 
 
+def test_forward_heights_are_int64_with_and_without_freezes():
+    rows = StreamRange(1, 0, 3)
+    assert forward_heights(alternating(3), rows).dtype == np.int64
+    assert forward_heights(attach_run(3), rows).dtype == np.int64
+    assert forward_heights(alternating(3), StreamRange(1, 3, 3)).dtype == np.int64
+
+
 def test_batches_follow_what_they_hold():
     # a freeze-free batch is one index block; a time-blocked batch holds
     # sqrt(INDEX_BLOCK) generators; MAX_BATCH caps both

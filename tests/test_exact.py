@@ -2,6 +2,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +30,7 @@ from frostree import (
     parse_sequence,
     stochastic_dominates,
 )
+from frostree import exact
 
 
 def dist(masses):
@@ -37,11 +39,9 @@ def dist(masses):
     )
 
 
-@st.composite
-def valid_sequences(draw, min_size, max_size):
-    """Random valid sequences: a freeze that would empty the tree before the
-    last step becomes an attach."""
-    wanted = draw(st.lists(st.booleans(), min_size=min_size, max_size=max_size))
+def made_valid(wanted):
+    """The sequence of attach flags wanted, with each freeze that would empty
+    the tree before the last step made an attach."""
     steps, s = [], 1
     for j, attach in enumerate(wanted):
         if not attach and s == 1 and j < len(wanted) - 1:
@@ -49,6 +49,12 @@ def valid_sequences(draw, min_size, max_size):
         steps.append(Step.ATTACH if attach else Step.FREEZE)
         s += 1 if attach else -1
     return ChoiceSequence(tuple(steps))
+
+
+@st.composite
+def valid_sequences(draw, min_size, max_size):
+    """Random valid sequences."""
+    return made_valid(draw(st.lists(st.booleans(), min_size=min_size, max_size=max_size)))
 
 
 def root_only_mass(seq):
@@ -225,6 +231,104 @@ class TestPackedStateBoundaries:
         expected = "forward DP reached 6 states at step 4 of '+^12', above state_cap=4"
         with pytest.raises(StateSpaceExceeded, match=re.escape(expected)):
             exact_height_distribution_forward(attach_run(12), state_cap=4)
+
+
+def cap_outcome(dp, seq, cap):
+    """The law dp gives under cap, or its StateSpaceExceeded message."""
+    try:
+        return dp(seq, cap)
+    except StateSpaceExceeded as error:
+        return str(error)
+
+
+def assert_caps_agree(seq):
+    """Every cap from -2 up to the peak, the first cap that passes, gives the
+    same message or the same law on the int64 path as on the dict path."""
+    cap = -2
+    while True:
+        arrays = cap_outcome(exact._forward_arrays, seq, cap)
+        assert arrays == cap_outcome(exact._forward_dict, seq, cap), (seq.text, cap)
+        if not isinstance(arrays, str):
+            return
+        cap += 1
+
+
+@st.composite
+def wide_sequences(draw):
+    """Valid sequences with 13 or 14 attaches and up to two freezes, on both
+    sides of the int64 path's 62-bit key limit."""
+    flags = [True] * draw(st.integers(13, 14)) + [False] * draw(st.integers(0, 2))
+    return made_valid(draw(st.permutations(flags)))
+
+
+POOL = Path(__file__).resolve().parent.parent / "perfbench" / "exact_pool.txt"
+
+
+class TestInt64ArrayStep:
+    """The forward DP steps all states at once on int64 arrays when every key
+    and weight fits; the dict DP, stepping one state at a time, is its
+    reference and the path for wider inputs."""
+
+    @pytest.mark.parametrize(
+        "text, fits",
+        [
+            ("+^13", True),  # 4 + 4 * 14 = 60 key bits
+            ("+^14", False),  # 4 + 4 * 15 = 64 key bits
+            ("+^7-+^7", False),  # 5 + 4 * 15 = 65 key bits
+            ("+^2(-+)^23", True),  # 2 * 6^23 < 2^63
+            ("+^2(-+)^24", False),  # 60 key bits, but 2 * 6^24 > 2^63
+        ],
+    )
+    def test_path_is_chosen_from_the_input(self, monkeypatch, text, fits):
+        seq = parse_sequence(text)
+        assert exact._fits_int64(seq) is fits
+        law = exact._forward_dict(seq, exact.DEFAULT_STATE_CAP)
+        unused = "_forward_dict" if fits else "_forward_arrays"
+        monkeypatch.setattr(exact, unused, None)
+        assert exact_height_distribution_forward(seq) == law
+        assert law.mass(1) == root_only_mass(seq)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(spread_peak_sequences(), wide_sequences()))
+    @example(attach_run(13))
+    @example(attach_run(14))
+    @example(attach_run(8))
+    @example(attach_run(15))
+    @example(parse_sequence("+^7-+^7"))
+    @example(parse_sequence("+^7-^8"))
+    def test_int64_dict_and_reverse_agree(self, seq):
+        law = exact_height_distribution_forward(seq)
+        assert law == exact._forward_dict(seq, exact.DEFAULT_STATE_CAP), seq.text
+        if exact._fits_int64(seq):
+            assert law == exact._forward_arrays(seq, exact.DEFAULT_STATE_CAP), seq.text
+        if len(seq) <= 14:
+            assert law == exact_height_distribution_reverse(seq, length_cap=14), seq.text
+
+    @pytest.mark.parametrize(
+        "text", ["+^8", "+^4-+^3", "+^3-^2+^4", "+^5-^4+^3", "(+-)^6", "+^6-^6"]
+    )
+    def test_every_cap_gives_the_same_error(self, text):
+        assert_caps_agree(parse_sequence(text))
+
+    @pytest.mark.parametrize("entries", [1, 2, 5, 16])
+    @pytest.mark.parametrize("text", ["+^8", "+^4-+^3", "+^3-^2+^4", "+^2-^2+^5"])
+    def test_sliced_steps_keep_the_law_and_the_cap(self, monkeypatch, entries, text):
+        monkeypatch.setattr(exact, "ARRAY_STEP_ENTRIES", entries)
+        assert_caps_agree(parse_sequence(text))
+
+    def test_pool_laws_and_peaks(self):
+        # every exact_dp benchmark member: the dict DP's law, and the peak
+        # state count that the pool file records
+        for line in POOL.read_text().splitlines():
+            if line.startswith("#"):
+                continue
+            text, _, peak = line.split()
+            seq = parse_sequence(text)
+            assert exact._fits_int64(seq), text
+            law = exact._forward_arrays(seq, int(peak))
+            assert law == exact._forward_dict(seq, exact.DEFAULT_STATE_CAP), text
+            with pytest.raises(StateSpaceExceeded):
+                exact._forward_arrays(seq, int(peak) - 1)
 
 
 class TestReverseDistribution:
