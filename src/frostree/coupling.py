@@ -42,15 +42,7 @@ import numpy as np
 
 from . import forward
 from .errors import NotReducible, TargetUnreachable
-from .rng import (
-    Driver,
-    MonteCarloDriver,
-    RngStream,
-    StreamRange,
-    _as_driver,
-    index_block,
-    pair_second,
-)
+from .rng import Driver, RngStream, StreamRange, _as_driver, index_block, pair_second
 from .sequences import ChoiceSequence, Step, quoted, require_valid
 
 
@@ -285,11 +277,11 @@ def _graft_rows(
 
 
 def couple_reduce_heights(
-    seq: ChoiceSequence, drivers: list[MonteCarloDriver] | StreamRange
+    seq: ChoiceSequence, streams: StreamRange
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(height_x, height_xhat)`` arrays of len(drivers) joint runs: entry r
-    equals ``couple_reduce(seq, drivers[r])``, drawn from the same uniforms in
-    the same order.
+    """``(height_x, height_xhat)`` arrays of len(streams) joint runs: entry r
+    equals ``couple_reduce(seq, RngStream(master_seed, start + r))``, drawn
+    from the same uniforms in the same order.
 
     Every replica draws the same schedule, so one ``index_block`` call gives
     all pairs and each forest is an (R, n) array that one ``_graft_rows`` call
@@ -299,10 +291,10 @@ def couple_reduce_heights(
     replays the previous pair one slot down until its row's spare is absorbed.
     """
     k = _reducible_run(seq)
-    drawn = index_block(drivers, _reduce_sizes(seq, k)).T
+    drawn = index_block(streams, _reduce_sizes(seq, k)).T
     pair_a = np.ascontiguousarray(drawn[0::2])  # (pairs, R): row j is pair j of every replica
     pair_b = pair_second(pair_a, drawn[1::2])
-    replicas = len(drivers)
+    replicas = len(streams)
     rows = np.arange(replicas)
     singleton = np.zeros((replicas, 1), dtype=np.int64)  # a frozen one-vertex tree
 
@@ -335,13 +327,11 @@ def couple_reduce_columns(
 ) -> tuple[list[int], list[int]]:
     """The ``(height_x, height_xhat)`` columns of
     ``[couple_reduce(seq, RngStream(master_seed, i)) for i in range(replicas)]``
-    through :func:`couple_reduce_heights`, in batches sized by the index
-    block: as many replicas as fit ``forward.INDEX_BLOCK`` entries of draws
-    (at least one), at most ``forward.MAX_BATCH``: 80 draws per replica make
-    batches of 819.  Each batch is a ``StreamRange`` drawn through
-    ``uniform_rows``, so it holds no generator."""
-    draws = len(_reduce_sizes(seq, _reducible_run(seq)))
-    per_batch = max(1, min(forward.MAX_BATCH, forward.INDEX_BLOCK // draws))
+    through :func:`couple_reduce_heights`, in batches of
+    ``forward.fixed_count_batch(draws)``: 80 draws per replica make batches
+    of 819.  Each batch is a ``StreamRange`` drawn through ``uniform_rows``,
+    so it holds no generator."""
+    per_batch = forward.fixed_count_batch(len(_reduce_sizes(seq, _reducible_run(seq))))
     height_x: list[int] = []
     height_xhat: list[int] = []
     for batch in StreamRange(master_seed, 0, replicas).batches(per_batch):
@@ -349,14 +339,6 @@ def couple_reduce_columns(
         height_x += hx.tolist()
         height_xhat += hxh.tolist()
     return height_x, height_xhat
-
-
-def couple_reduce_samples(
-    seq: ChoiceSequence, replicas: int, master_seed: int
-) -> list[CoupledSample]:
-    """``[couple_reduce(seq, RngStream(master_seed, i)) for i in range(replicas)]``,
-    built from :func:`couple_reduce_columns`."""
-    return list(map(CoupledSample, *couple_reduce_columns(seq, replicas, master_seed)))
 
 
 # --------------------------------------------------------------------------

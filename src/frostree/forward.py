@@ -6,13 +6,15 @@ freezes it.  After j steps the number of active vertices equals the walk value
 at j, which is what makes valid sequences exactly the executable ones.
 
 ``forward_height`` is the one-replica kernel (and, under ``ExhaustiveDriver``,
-the oracle).  ``forward_heights`` runs a batch of replicas, given as
-``MonteCarloDriver``s or as a ``StreamRange`` of fresh streams, with one numpy
-step for the whole batch: every replica has exactly s_j actives after step j,
-so the batch state is a rectangular array.  It draws exactly what
-``forward_height`` draws per stream.  A freeze-free batch draws one index
-block; a batch with freezes draws in time blocks (``rng.IndexColumns``), from
-generators seeded once per stream, into buffers that every block reuses.
+the oracle).  ``forward_heights`` runs a batch of replicas, given as a
+``StreamRange`` of fresh streams, with one numpy step for the whole batch:
+every replica has exactly s_j actives after step j, so the batch state is a
+rectangular array.  It draws exactly what ``forward_height`` draws per stream,
+by one of the StreamRange's two draws, picked by the sequence: a freeze-free
+batch draws one ``rng.index_block``; a batch with freezes draws in time blocks
+(``rng.IndexColumns``), from generators seeded once per stream, into buffers
+that every block reuses.  ``fixed_count_batch`` sizes every batch that draws
+one index block, here and in the reduction coupling and ``walk_gap_growth``.
 
 Where the walk is back at 1 the tree regrows from a lone active vertex, so
 the steps up to the next such time (an excursion) act on a replica only
@@ -32,15 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidSequence
-from .rng import (
-    Driver,
-    IndexColumns,
-    MonteCarloDriver,
-    RngStream,
-    StreamRange,
-    _as_driver,
-    index_block,
-)
+from .rng import Driver, IndexColumns, RngStream, StreamRange, _as_driver, index_block
 from .sequences import ChoiceSequence, Step, quoted, require_valid
 from .tree import Status, TreeArena
 
@@ -141,6 +135,13 @@ MAX_BATCH = 1024  # replicas per batch, whatever the batch holds
 TIME_BLOCKED_BATCH = 256  # sqrt(INDEX_BLOCK): replicas per batch with freezes
 
 
+def fixed_count_batch(draws: int) -> int:
+    """Replicas per batch that draws ``draws`` indices per replica as one
+    index block: as many as fit INDEX_BLOCK entries, at least 1 and at most
+    MAX_BATCH."""
+    return max(1, min(MAX_BATCH, INDEX_BLOCK // max(draws, 1)))
+
+
 def batch_replicas(seq: ChoiceSequence) -> int:
     """Replicas per ``forward_heights`` batch on seq, at most MAX_BATCH.
 
@@ -150,34 +151,32 @@ def batch_replicas(seq: ChoiceSequence) -> int:
     balances the per-step numpy call, which a larger batch shares more
     widely, against those per-row calls, which it makes more frequent."""
     if seq.freeze_count == 0:
-        per_batch = INDEX_BLOCK // max(len(seq), 1)
-    else:
-        per_batch = min(TIME_BLOCKED_BATCH, STATE_BYTES // (4 * seq.walk.max_value))
+        return fixed_count_batch(len(seq))
+    per_batch = min(TIME_BLOCKED_BATCH, STATE_BYTES // (4 * seq.walk.max_value))
     return max(1, min(MAX_BATCH, per_batch))
 
 
-def forward_heights(
-    seq: ChoiceSequence, drivers: list[MonteCarloDriver] | StreamRange
-) -> np.ndarray:
-    """Int64 heights of len(drivers) forward builds: entry r equals
-    ``forward_height(seq, drivers[r])``, drawn from the same uniforms in the
-    same order.  Batches of ``batch_replicas(seq)`` drivers keep the memory
-    bounds.  Raises InvalidSequence when the walk dies early."""
+def forward_heights(seq: ChoiceSequence, streams: StreamRange) -> np.ndarray:
+    """Int64 heights of len(streams) forward builds: entry r equals
+    ``forward_height(seq, RngStream(master_seed, start + r))``, drawn from the
+    same uniforms in the same order.  Batches of ``batch_replicas(seq)``
+    streams keep the memory bounds.  Raises InvalidSequence when the walk
+    dies early."""
     require_valid(seq)
-    if len(drivers) == 0:
+    if len(streams) == 0:
         return np.zeros(0, dtype=np.int64)
     if seq.freeze_count == 0:
-        parents = index_block(drivers, np.arange(1, len(seq) + 1))
+        parents = index_block(streams, np.arange(1, len(seq) + 1))
         return depths_from_parents(parents).max(axis=1)
 
     n = len(seq)
-    block = min(max(1, INDEX_BLOCK // len(drivers)), n)
+    block = min(max(1, INDEX_BLOCK // len(streams)), n)
     # the walk is 1 at these times: the tree regrows from a lone active vertex
     cuts = np.flatnonzero(seq.sizes == 1)
     if seq.walk.final == 1:
         cuts = np.append(cuts, n)
-    batch = _Batch(seq, len(drivers), block)
-    draws = IndexColumns(drivers, block)
+    batch = _Batch(seq, len(streams), block)
+    draws = IndexColumns(streams, block)
     for t0 in range(0, n, block):
         t1 = min(t0 + block, n)
         columns = draws.next(seq.sizes[t0:t1])
@@ -356,43 +355,6 @@ def sample_rrt(n: int, rng: RngStream | Driver) -> TreeArena:
         birth_steps=list(range(n + 1)),
         height=int(depths.max()),
         active_list=list(range(n + 1)),
-    )
-
-
-def rrt_split(n: int, rng: RngStream | Driver) -> tuple[TreeArena, TreeArena]:
-    """Build an n-edge recursive tree, cut its first edge, return both parts.
-
-    The first part keeps the original root, the second is rooted at the first
-    attached vertex; depths are recomputed relative to each new root.  The
-    edge count of the root part is uniform on {0, ..., n-1}.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    arena = sample_rrt(n, rng)
-    in_second = [False] * (n + 1)
-    in_second[1] = True
-    for v in range(2, n + 1):
-        in_second[v] = in_second[arena.parents[v]]
-    return (
-        _component_arena(arena, [v for v in range(n + 1) if not in_second[v]]),
-        _component_arena(arena, [v for v in range(n + 1) if in_second[v]]),
-    )
-
-
-def _component_arena(arena: TreeArena, members: list[int]) -> TreeArena:
-    # members are in creation order, so parents stay earlier after relabeling
-    new_index = {v: i for i, v in enumerate(members)}
-    parents = [-1] + [new_index[arena.parents[v]] for v in members[1:]]
-    depths = [0] * len(members)
-    for i in range(1, len(members)):
-        depths[i] = depths[parents[i]] + 1
-    return TreeArena(
-        parents=parents,
-        depths=depths,
-        statuses=[arena.statuses[v] for v in members],
-        birth_steps=[arena.birth_steps[v] for v in members],
-        height=max(depths),
-        active_list=[new_index[v] for v in arena.active_list if v in new_index],
     )
 
 

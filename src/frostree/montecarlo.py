@@ -5,13 +5,15 @@ by commutative addition, so a run's output is a pure function of
 (sequence, replicas, master_seed) no matter how work is scheduled.
 
 ``run_mc`` cuts the replicas into batches of ``forward.batch_replicas(seq)``
-and runs each batch through ``forward.forward_heights`` as a ``StreamRange``.
-A batch with freezes (at most 256 replicas) takes one numpy step per sequence
-step for the whole batch, with the excursions between returns of the walk to
-1 run side by side as lanes, from generators seeded once per stream.  A
-freeze-free batch (one index block: 655 replicas of ``+^100``) takes one
-pointer doubling over its parent arrays, drawn as one ``uniform_rows`` block.
-A batched step has a fixed cost whatever the batch width, so splitting a batch
+and runs each batch through ``forward.forward_heights`` as a ``StreamRange``,
+which draws by one of its two draws.  A batch with freezes (at most 256
+replicas) draws time block by time block (``rng.IndexColumns``, one generator
+per stream) and takes one numpy step per sequence step for the whole batch,
+with the excursions between returns of the walk to 1 run side by side as
+lanes.  A freeze-free batch (one index block: 655 replicas of ``+^100``)
+draws one ``rng.index_block`` and takes one pointer doubling over its parent
+arrays.  ``walk_gap_growth`` draws one index block per batch as well.  A
+batched step has a fixed cost whatever the batch width, so splitting a batch
 over processes saves little; the pool starts only when every worker gets at
 least two batches.
 """
@@ -28,9 +30,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, InvalidSequence
-from .forward import batch_replicas, depths_from_parents, forward_heights
+from .forward import batch_replicas, depths_from_parents, fixed_count_batch, forward_heights
 from .rng import StreamRange, index_block, pair_second
-from .sequences import ChoiceSequence, attach_run, classify, parse_sequence, quoted, require_valid
+from .sequences import ChoiceSequence, classify, parse_sequence, quoted, require_valid
 
 
 @dataclass(frozen=True)
@@ -322,6 +324,8 @@ def walk_gap_growth(
     Stream derivation: sample r of size index j uses stream
     (master_seed, j * replicas + r).
     """
+    if replicas < 1:
+        raise ValueError("need at least one replica")
     if any(b <= a for a, b in zip(m_values, m_values[1:])):
         raise ValueError("m_values must be strictly increasing")
     out: list[tuple[int, float]] = []
@@ -332,7 +336,7 @@ def walk_gap_growth(
         streams = StreamRange(master_seed, j * replicas, (j + 1) * replicas)
         # each stream draws its tree's m parents, then distinct_pair(m + 1)
         sizes = np.append(np.arange(1, m + 2), m)
-        for batch in streams.batches(batch_replicas(attach_run(m))):
+        for batch in streams.batches(fixed_count_batch(len(sizes))):
             drawn = index_block(batch, sizes)
             depths = depths_from_parents(drawn[:, :m])
             rows = np.arange(len(batch))

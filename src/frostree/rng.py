@@ -9,27 +9,27 @@ Every randomized construction in this package consumes randomness through a
   ``index(k)`` then ``index(k - 1)`` mapped by ``pair_second``, which the
   batched kernels apply to their index blocks as well
 
-``MonteCarloDriver`` backs them with a seeded generator, and ``index_block``
-draws the same indices for many of them at once; ``ExhaustiveDriver``
-replays the same construction over every possible choice path, yielding exact
-rational weights.  Running one function under both drivers is how sampled laws
-get certified against exact ones.  This module is the only place where a
-uniform float becomes an index.
+``MonteCarloDriver`` backs them with a seeded generator, and a
+``StreamRange`` draws the same indices for a batch of fresh streams at once;
+``ExhaustiveDriver`` replays the same construction over every possible choice
+path, yielding exact rational weights.  Running one function under both
+drivers is how sampled laws get certified against exact ones.  This module is
+the only place where a uniform float becomes an index.
 
 Stream ``(master_seed, i)`` is numpy's ``SeedSequence(master_seed,
-spawn_key=(i,))`` feeding a PCG64 generator.  A batch of fresh streams skips
-the per-replica ``SeedSequence``: a vectorized copy of numpy's seeding
-(O'Neill's ``seed_seq_fe`` with a pool of four words) hashes all its keys at
-once into each stream's four seed words, and each stream's PCG64 seeds
-itself from its words with numpy's own ``srandom``.  ``uniform_rows``, for a
-``StreamRange`` that takes a fixed number of uniforms per replica, fills each
-row from its stream's generator and drops the generator before seeding the
-next.  ``stream_generators``, for streams that keep drawing
-(``stream_drivers``, and ``IndexColumns``, which draws a batch's index blocks
-time block by time block into reused buffers), keeps one generator per
-stream.  numpy itself is the test oracle, so a numpy release that changed its
-seeding would fail the tests rather than silently change reports.
-``StreamRange.batches`` cuts a run's streams into batches.
+spawn_key=(i,))`` feeding a PCG64 generator.  A batch of fresh streams is a
+``StreamRange`` and skips the per-replica ``SeedSequence``: a vectorized copy
+of numpy's seeding (O'Neill's ``seed_seq_fe`` with a pool of four words)
+hashes all its keys at once into each stream's four seed words, and each
+stream's PCG64 seeds itself from its words with numpy's own ``srandom``.  A
+StreamRange has two draws.  ``index_block``, for a batch that takes a fixed
+number of uniforms per replica, goes through ``uniform_rows``, which fills
+each row from its stream's generator and drops the generator before seeding
+the next.  ``IndexColumns``, for a batch that draws time block by time block,
+keeps one generator per stream and fills reused buffers.  numpy itself is the
+test oracle, so a numpy release that changed its seeding would fail the tests
+rather than silently change reports.  ``StreamRange.batches`` cuts a run's
+streams into batches.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -122,14 +122,12 @@ class MonteCarloDriver(_ChoiceDriver):
         self._pos = pos + 1
         return buf[pos]
 
-    def uniform_block(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
-        """count fresh uniforms as an array (for vectorized consumers),
-        written into out (a float64 row of length count) when it is given.
+    def uniform_block(self, count: int) -> np.ndarray:
+        """count fresh uniforms as an array (for vectorized consumers).
 
         Buffered uniforms go first, the rest come straight from the generator;
         a PCG64 stream yields the same doubles however its calls are split."""
-        if out is None:
-            out = np.empty(count)
+        out = np.empty(count)
         buf, pos = self._buf, self._pos
         avail = min(count, len(buf) - pos)
         out[:avail] = buf[pos : pos + avail]
@@ -150,24 +148,27 @@ class MonteCarloDriver(_ChoiceDriver):
         return _to_indices(self.uniform_block(len(sizes)), sizes)
 
 
-def stream_drivers(master_seed: int, start: int, stop: int) -> list[MonteCarloDriver]:
-    """Drivers of replicas start..stop-1; replica i draws from stream
-    (master_seed, i), as ``MonteCarloDriver(RngStream(master_seed, i))`` does."""
-    return [MonteCarloDriver(g) for g in stream_generators(master_seed, start, stop)]
+def _check_range(start: int, stop: int) -> None:
+    if not 0 <= start <= stop:
+        raise ValueError(f"need 0 <= start <= stop, got start={start}, stop={stop}")
 
 
 @dataclass(frozen=True)
 class StreamRange:
     """The streams (master_seed, i), start <= i < stop, before their first
-    draw: a batch of fresh replicas that takes one fixed-count index block.
+    draw: the one input form of every batched kernel.
 
-    ``index_block`` draws its rows through ``uniform_rows``, with no driver
-    per replica.  A batch that draws in several blocks needs its
-    ``stream_drivers`` instead, since each block continues every stream."""
+    A batch that takes a fixed number of uniforms per replica draws them as
+    one ``index_block``; a batch that draws time block by time block goes
+    through ``IndexColumns``.  Neither builds a driver per replica, and both
+    draw exactly what ``MonteCarloDriver(RngStream(master_seed, i))`` would."""
 
     master_seed: int
     start: int
     stop: int
+
+    def __post_init__(self) -> None:
+        _check_range(self.start, self.stop)
 
     def __len__(self) -> int:
         return self.stop - self.start
@@ -200,50 +201,33 @@ def _check_sizes(sizes: np.ndarray) -> None:
         raise ValueError("indices() needs positive option counts")
 
 
-def index_block(
-    rows: Sequence[MonteCarloDriver] | StreamRange, sizes: np.ndarray
-) -> np.ndarray:
-    """``(len(rows), len(sizes))`` int64 array whose row r holds
-    ``rows[r].indices(sizes)``: each row takes its driver's next uniforms,
-    and one ``floor(u * k)`` map (clamped to ``k - 1``) covers the block.
-    For a StreamRange this is ``index_rows`` of its streams."""
-    if isinstance(rows, StreamRange):
-        return index_rows(rows.master_seed, rows.start, rows.stop, sizes)
+def index_block(streams: StreamRange, sizes: np.ndarray) -> np.ndarray:
+    """``(len(streams), len(sizes))`` int64 array whose row r holds
+    ``MonteCarloDriver(RngStream(master_seed, start + r)).indices(sizes)``:
+    each row takes its stream's first uniforms from ``uniform_rows``, and one
+    ``floor(u * k)`` map (clamped to ``k - 1``) covers the block."""
     _check_sizes(sizes)
-    u = np.empty((len(rows), len(sizes)))
-    for driver, row in zip(rows, u):
-        driver.uniform_block(len(sizes), row)
+    u = uniform_rows(streams.master_seed, streams.start, streams.stop, len(sizes))
     return _to_indices(u, sizes)
 
 
-def index_rows(master_seed: int, start: int, stop: int, sizes: np.ndarray) -> np.ndarray:
-    """``index_block(stream_drivers(master_seed, start, stop), sizes)``, drawn
-    through ``uniform_rows``."""
-    _check_sizes(sizes)
-    return _to_indices(uniform_rows(master_seed, start, stop, len(sizes)), sizes)
-
-
 class IndexColumns:
-    """A batch's index blocks, drawn time block by time block.
+    """A StreamRange's index blocks, drawn time block by time block.
 
-    ``next(sizes)`` returns a ``(len(sizes), len(rows))`` array whose column
-    r holds ``rows[r].indices(sizes)``; each call continues every row's
-    stream.  A driver list goes through ``index_block``.  A StreamRange's
-    streams are seeded once, one generator each (``stream_generators``), and
-    every call fills one reused uniform buffer and returns a view of one
-    reused index buffer, valid until the next call; sizes has at most width
-    entries."""
+    ``next(sizes)`` returns a ``(len(sizes), len(streams))`` array whose
+    column r holds stream r's next ``indices(sizes)``; each call continues
+    every stream where the last one left it.  The streams are seeded once,
+    one generator each, and every call fills one reused uniform buffer and
+    returns a view of one reused index buffer, valid until the next call;
+    sizes has at most width entries."""
 
-    def __init__(self, rows: Sequence[MonteCarloDriver] | StreamRange, width: int):
-        self._rows = rows
-        if isinstance(rows, StreamRange):
-            self._generators = stream_generators(rows.master_seed, rows.start, rows.stop)
-            self._uniforms = np.empty((len(rows), width))
-            self._columns = np.empty((width, len(rows)), dtype=np.int64)
+    def __init__(self, streams: StreamRange, width: int):
+        bit_generators = _bit_generators(streams.master_seed, streams.start, streams.stop)
+        self._generators = [np.random.Generator(b) for b in bit_generators]
+        self._uniforms = np.empty((len(streams), width))
+        self._columns = np.empty((width, len(streams)), dtype=np.int64)
 
     def next(self, sizes: np.ndarray) -> np.ndarray:
-        if not isinstance(self._rows, StreamRange):
-            return index_block(self._rows, sizes).T
         _check_sizes(sizes)
         u = self._uniforms[:, : len(sizes)]
         for generator, row in zip(self._generators, u):
@@ -355,8 +339,7 @@ def _range_words(master_seed: int, start: int, stop: int) -> np.ndarray:
     """``_stream_words`` of the streams (master_seed, i), start <= i < stop,
     after the checks ``RngStream`` makes (master seeds masked to 64 bits)."""
     master_seed = _checked_seed(master_seed)
-    if not 0 <= start <= stop:
-        raise ValueError(f"need 0 <= start <= stop, got start={start}, stop={stop}")
+    _check_range(start, stop)
     if stop > 1 << 64:
         raise ValueError(f"stream indices must be below 2^64, got stop={stop}")
     return _stream_words(master_seed, np.fromiter(range(start, stop), np.uint64, stop - start))
@@ -371,12 +354,6 @@ def _bit_generators(master_seed: int, start: int, stop: int) -> Iterator[np.rand
     words = np.ascontiguousarray(_range_words(master_seed, start, stop))
     seed_words = _seed_words()
     return (np.random.PCG64(seed_words(row)) for row in words)
-
-
-def stream_generators(master_seed: int, start: int, stop: int) -> list[np.random.Generator]:
-    """Generators of the streams (master_seed, i), start <= i < stop, each in
-    the state ``RngStream(master_seed, i).generator()`` starts in."""
-    return [np.random.Generator(b) for b in _bit_generators(master_seed, start, stop)]
 
 
 def uniform_rows(master_seed: int, start: int, stop: int, count: int) -> np.ndarray:

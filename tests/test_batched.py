@@ -6,7 +6,7 @@ batches of replicas and several time blocks of indices.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frostree import (
@@ -24,13 +24,9 @@ from frostree import (
     walk_gap_growth,
 )
 from frostree import coupling, forward, montecarlo
-from frostree.coupling import couple_reduce_heights, couple_reduce_samples
+from frostree.coupling import couple_reduce_columns, couple_reduce_heights
 from frostree.forward import batch_replicas, forward_heights
-from frostree.rng import StreamRange, index_block
-
-
-def drivers(seed, start, stop):
-    return [MonteCarloDriver(RngStream(seed, i)) for i in range(start, stop)]
+from frostree.rng import IndexColumns, StreamRange, index_block
 
 
 def shrink_budgets(mp, index_block=8, state_bytes=64, max_batch=3):
@@ -75,7 +71,7 @@ def test_batched_heights_equal_scalar_per_replica(seq, seed, start, replicas, bl
     stop = start + replicas
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(forward, "INDEX_BLOCK", block)
-        got = forward_heights(seq, drivers(seed, start, stop)).tolist()
+        got = forward_heights(seq, StreamRange(seed, start, stop)).tolist()
     want = [forward_height(seq, RngStream(seed, i)) for i in range(start, stop)]
     assert got == want
     if seq.freeze_count == 0:
@@ -164,33 +160,40 @@ def test_excursion_lanes_on_fixed_walks(text, block, replicas):
 
 def assert_excursion_lanes_match(seq, seed, start, stop, block):
     want = [forward_height(seq, RngStream(seed, i)) for i in range(start, stop)]
-    batch = drivers(seed, start, stop)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(forward, "INDEX_BLOCK", block)
-        assert forward_heights(seq, batch).tolist() == want
         assert forward_heights(seq, StreamRange(seed, start, stop)).tolist() == want
-    # each driver stands where the scalar kernel leaves it
-    scalar = drivers(seed, start, stop)
-    for driver in scalar:
-        forward_height(seq, driver)
-    sizes = np.array([2, 7, 1000])
-    assert [d.indices(sizes).tolist() for d in batch] == [d.indices(sizes).tolist() for d in scalar]
 
 
-def test_index_block_rows_and_time_blocks_match_indices():
-    sizes = np.array([1, 2, 3, 7, 2, 1, 9, 4, 4, 13])
-    whole = index_block(drivers(11, 5, 9), sizes)
-    rows = [MonteCarloDriver(RngStream(11, i)).indices(sizes) for i in range(5, 9)]
-    assert (whole == np.array(rows)).all()
-    # a stream cut into time blocks yields the same indices as one block
-    split = drivers(11, 5, 9)
-    parts = [index_block(split, sizes[a:b]) for a, b in ((0, 3), (3, 4), (4, 10))]
-    assert (np.hstack(parts) == whole).all()
+@settings(max_examples=60, deadline=None)
+@given(
+    master_seed=st.one_of(st.integers(0, 2**32), st.integers(2**64 - 3, 2**70)),
+    start=st.one_of(st.integers(0, 10**6), st.integers(2**32 - 20, 2**32 + 20)),
+    replicas=st.integers(0, 8),
+    sizes=st.lists(st.one_of(st.integers(1, 20), st.integers(1, 2**53)), min_size=1, max_size=300),
+    cuts=st.lists(st.integers(1, 299), max_size=6),
+)
+# more draws per stream than a driver's largest refill
+@example(master_seed=11, start=5, replicas=3, sizes=[2**53] * 5000, cuts=[64, 4096, 4097])
+def test_index_block_rows_and_time_blocks_match_indices(master_seed, start, replicas, sizes, cuts):
+    # sizes reach 2^53, where index(k) is the uniform's 53 bits: equal indices mean equal uniforms
+    sizes = np.array(sizes, dtype=np.int64)
+    stop = start + replicas
+    streams = StreamRange(master_seed, start, stop)
+    rows = [MonteCarloDriver(RngStream(master_seed, i)).indices(sizes) for i in range(start, stop)]
+    want = np.array(rows, dtype=np.int64).reshape(replicas, len(sizes))
+    got = index_block(streams, sizes)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    # the same streams cut into time blocks: each block continues every stream
+    bounds = [0, *sorted({c % len(sizes) for c in cuts} - {0}), len(sizes)]
+    draws = IndexColumns(streams, max(b - a for a, b in zip(bounds, bounds[1:])))
+    blocks = [draws.next(sizes[a:b]).copy() for a, b in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.vstack(blocks).T, want)
 
 
 def test_index_block_rejects_nonpositive_sizes():
     with pytest.raises(ValueError):
-        index_block(drivers(0, 0, 2), np.array([2, 0]))
+        index_block(StreamRange(0, 0, 2), np.array([2, 0]))
 
 
 def test_walk_gap_growth_keeps_each_streams_draw_order(monkeypatch):
@@ -264,7 +267,7 @@ def test_batch_state_stays_under_its_budget(s_max):
 
 
 @pytest.mark.parametrize("text", ["(+-)^3", "+^3-^4", "+^3"])
-@pytest.mark.parametrize("rows", [[], StreamRange(1, 5, 5)])
+@pytest.mark.parametrize("rows", [StreamRange(0, 0, 0), StreamRange(1, 5, 5)])
 def test_forward_heights_of_no_replicas(text, rows):
     heights = forward_heights(parse_sequence(text), rows)
     assert heights.shape == (0,) and heights.dtype == np.int64
@@ -318,17 +321,15 @@ def reducible_walks(draw):
     return ChoiceSequence.from_signs(signs)
 
 
+def scalar_reduce_columns(seq, seed, start, stop):
+    samples = [couple_reduce(seq, RngStream(seed, i)) for i in range(start, stop)]
+    return [s.height_x for s in samples], [s.height_xhat for s in samples]
+
+
 def assert_reduce_heights_match(seq, seed, start, stop):
-    batch = drivers(seed, start, stop)
-    height_x, height_xhat = couple_reduce_heights(seq, batch)
-    scalar = drivers(seed, start, stop)
-    want = [couple_reduce(seq, driver) for driver in scalar]
-    assert height_x.tolist() == [s.height_x for s in want]
-    assert height_xhat.tolist() == [s.height_xhat for s in want]
-    # each row drew exactly its own driver's uniforms: the streams continue alike
-    assert [d.uniform_block(2).tolist() for d in batch] == [
-        d.uniform_block(2).tolist() for d in scalar
-    ]
+    height_x, height_xhat = couple_reduce_heights(seq, StreamRange(seed, start, stop))
+    want = scalar_reduce_columns(seq, seed, start, stop)
+    assert (height_x.tolist(), height_xhat.tolist()) == want
 
 
 @settings(max_examples=120, deadline=None)
@@ -372,10 +373,10 @@ def test_batched_reduce_coupling_rejects_what_the_scalar_rejects(text):
     with pytest.raises(NotReducible) as scalar:
         couple_reduce(seq, RngStream(0))
     with pytest.raises(NotReducible) as batched:
-        couple_reduce_heights(seq, drivers(0, 0, 2))
+        couple_reduce_heights(seq, StreamRange(0, 0, 2))
     assert str(batched.value) == str(scalar.value)
     with pytest.raises(NotReducible):
-        couple_reduce_samples(seq, 3, 0)
+        couple_reduce_columns(seq, 3, 0)
 
 
 @pytest.mark.parametrize("index_block_entries, max_batch", [(60, 256), (4, 256), (1 << 16, 3)])
@@ -392,13 +393,12 @@ def test_reduce_batches_keep_the_index_block_budget(monkeypatch, index_block_ent
         return real_index_block(batch, sizes)
 
     monkeypatch.setattr(coupling, "index_block", spy)
-    samples = couple_reduce_samples(seq, 23, 9)
+    columns = couple_reduce_columns(seq, 23, 9)
     assert sum(rows for rows, _ in blocks) == 23 and len(blocks) >= 3
     for rows, width in blocks:
         assert width == draws and rows <= max_batch
         assert rows * width <= max(index_block_entries, draws)
-    want = [couple_reduce(seq, RngStream(9, i)) for i in range(23)]
-    assert samples == want
+    assert columns == scalar_reduce_columns(seq, 9, 0, 23)
 
 
 # --------------------------------------------------------------------------
@@ -431,8 +431,8 @@ def test_stream_range_batch_equals_scalar_per_replica(seq, seed, start, replicas
 def test_reduce_samples_equal_scalar_per_replica(seq, seed, replicas, budget):
     with pytest.MonkeyPatch.context() as mp:
         shrink_budgets(mp, index_block=budget[0], max_batch=budget[1])
-        got = couple_reduce_samples(seq, replicas, seed)
-    assert got == [couple_reduce(seq, RngStream(seed, i)) for i in range(replicas)]
+        got = couple_reduce_columns(seq, replicas, seed)
+    assert got == scalar_reduce_columns(seq, seed, 0, replicas)
 
 
 def gap_growth_per_replica(m_values, replicas, seed):
@@ -460,3 +460,9 @@ def test_walk_gap_growth_equals_scalar_per_replica(m_values, replicas, seed, ind
         shrink_budgets(mp, index_block=index_block_entries)
         got = walk_gap_growth(m_values, replicas, seed)
     assert got == gap_growth_per_replica(m_values, replicas, seed)
+
+
+@pytest.mark.parametrize("replicas", [0, -2])
+def test_walk_gap_growth_needs_a_replica(replicas):
+    with pytest.raises(ValueError, match="need at least one replica"):
+        walk_gap_growth([3], replicas, 1)

@@ -16,7 +16,6 @@ from frostree import (
     forward_height,
     law_of,
     parse_sequence,
-    rrt_split,
     sample_rrt,
     uniform_active_depth_law,
     walk_profile,
@@ -118,28 +117,6 @@ class TestSampleRrt:
     def test_star_probability_two_edges(self):
         law = law_of(lambda d: sample_rrt(2, d).height)
         assert law[1] == Fraction(1, 2)
-
-
-class TestRrtSplit:
-    def test_single_edge(self):
-        t1, t2 = rrt_split(1, R(0, 0))
-        assert len(t1) == 1 and len(t2) == 1
-        assert t1.height == 0 and t2.height == 0
-
-    def test_root_part_edges_uniform_n2(self):
-        law = law_of(lambda d: rrt_split(2, d)[0].edge_count)
-        assert law == {0: Fraction(1, 2), 1: Fraction(1, 2)}
-
-    def test_root_part_edges_uniform_n3(self):
-        law = law_of(lambda d: rrt_split(3, d)[0].edge_count)
-        assert law == {k: Fraction(1, 3) for k in range(3)}
-
-    def test_parts_are_proper_arenas(self):
-        for i in range(10):
-            t1, t2 = rrt_split(12, R(4, i))
-            t1.check_invariants()
-            t2.check_invariants()
-            assert len(t1) + len(t2) == 13
 
 
 class TestUniformActiveDepthLaw:

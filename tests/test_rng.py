@@ -8,14 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frostree import ExhaustiveDriver, MonteCarloDriver, RngStream, law_of
-from frostree.rng import (
-    StreamRange,
-    _stream_words,
-    index_block,
-    index_rows,
-    stream_drivers,
-    uniform_rows,
-)
+from frostree.rng import IndexColumns, StreamRange, _stream_words, index_block, uniform_rows
 
 # draws taken before indices(): from a fresh buffer, or close enough to the
 # end of the refills doubling from 64 to 2048 (4032 uniforms) that the batch
@@ -147,13 +140,14 @@ def test_uniform_rows_equal_stream_draws(master_seed, start, count):
     st.lists(st.integers(1, 10**9), max_size=300),
 )
 def test_index_rows_equal_index_block_of_stream_drivers(master_seed, start, replicas, sizes):
+    # index_block's rows are the indices of each stream's own driver
     sizes = np.array(sizes, dtype=np.int64)
     stop = start + replicas
-    want = index_block(stream_drivers(master_seed, start, stop), sizes)
-    got = index_rows(master_seed, start, stop, sizes)
+    rows = [MonteCarloDriver(RngStream(master_seed, i)).indices(sizes) for i in range(start, stop)]
+    want = np.array(rows, dtype=np.int64).reshape(replicas, len(sizes))
+    got = index_block(StreamRange(master_seed, start, stop), sizes)
     assert got.dtype == np.int64 and got.shape == (replicas, len(sizes))
     assert np.array_equal(got, want)
-    assert np.array_equal(index_block(StreamRange(master_seed, start, stop), sizes), want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -164,15 +158,15 @@ def test_index_rows_equal_index_block_of_stream_drivers(master_seed, start, repl
     st.sampled_from([1, 64, 5000]),
 )
 def test_stream_drivers_draw_as_rng_stream_drivers(master_seed, start, replicas, count):
+    # IndexColumns seeds one generator per stream of the range: block after
+    # block, each column draws what that stream's RngStream driver draws
     stop = start + replicas
-    got = stream_drivers(master_seed, start, stop)
+    draws = IndexColumns(StreamRange(master_seed, start, stop), max(count, 70))
     want = [MonteCarloDriver(RngStream(master_seed, i)) for i in range(start, stop)]
     full = 2**53  # index(2^53) is the uniform's 53 bits, so equal indices mean equal uniforms
-    for g, w in zip(got, want):
-        # index() takes from the refills, uniform_block() from them and then the generator
-        assert [g.index(full) for _ in range(count)] == [w.index(full) for _ in range(count)]
-        assert np.array_equal(g.uniform_block(count), w.uniform_block(count))
-        assert [g.index(full) for _ in range(70)] == [w.index(full) for _ in range(70)]
+    for n in (count, 70):
+        got = draws.next(np.full(n, full, dtype=np.int64))
+        assert got.T.tolist() == [[w.index(full) for _ in range(n)] for w in want]
 
 
 def test_uniform_rows_run_no_cyclic_collection():
@@ -203,7 +197,7 @@ class TestUniformRowsInput:
             uniform_rows(-3, 0, 2, 4)
         assert str(rows.value) == str(stream.value)
         with pytest.raises(ValueError):
-            index_rows(-3, 0, 2, np.array([2]))
+            index_block(StreamRange(-3, 0, 2), np.array([2]))
 
     def test_master_seed_masked_to_64_bits(self):
         want = np.array([RngStream(2**64 + 3, i).generator().random(6) for i in range(5)])
@@ -217,13 +211,24 @@ class TestUniformRowsInput:
 
     def test_nonpositive_sizes_rejected(self):
         with pytest.raises(ValueError):
-            index_rows(0, 0, 2, np.array([2, 0]))
+            index_block(StreamRange(0, 0, 2), np.array([2, 0]))
+        draws = IndexColumns(StreamRange(0, 0, 2), 3)
+        with pytest.raises(ValueError):
+            draws.next(np.array([4, 0, 1]))
+
+    @pytest.mark.parametrize("start, stop", [(5, 3), (-1, 2)])
+    def test_stream_range_rejects_bad_ranges_when_built(self, start, stop):
+        with pytest.raises(ValueError) as rows:
+            uniform_rows(1, start, stop, 3)
+        with pytest.raises(ValueError) as streams:
+            StreamRange(1, start, stop)
+        assert str(streams.value) == str(rows.value)
 
     def test_zero_count_and_empty_range(self):
         assert uniform_rows(1, 3, 7, 0).shape == (4, 0)
         assert uniform_rows(1, 3, 3, 5).shape == (0, 5)
         assert uniform_rows(1, 2**64, 2**64, 5).shape == (0, 5)
-        assert index_rows(1, 3, 7, np.array([], dtype=np.int64)).shape == (4, 0)
+        assert index_block(StreamRange(1, 3, 7), np.array([], dtype=np.int64)).shape == (4, 0)
 
     def test_keys_of_two_words(self):
         start, stop = 2**32 - 2, 2**32 + 2
