@@ -8,11 +8,11 @@ one int, the counts as fixed-width digits above a height field, so an attach
 or a freeze is one integer add.  When every key fits in 62 bits and the
 law's denominator in int64, a step runs over all states at once on int64
 numpy arrays; wider inputs step one state at a time in a dict.  Both visit
-the same states in the same order, so ``state_cap`` counts the same states
-on either path.  Reverse laws track the multiset of tree heights in the
-coalescing forest: graft pairs are drawn uniformly over ordered slot pairs, so
-slot order never influences the law and sorting the heights is an exact
-lumping of the positional chain.
+a step's states in ascending packed key order, so ``state_cap`` counts the
+same states on either path.  Reverse laws track the multiset of tree
+heights in the coalescing forest: graft pairs are drawn uniformly over
+ordered slot pairs, so slot order never influences the law and sorting the
+heights is an exact lumping of the positional chain.
 
 All oracle arithmetic is exact: the DPs carry integer weights over one
 shared denominator per law and divide once per height at the end.  Empirical
@@ -22,6 +22,8 @@ distributions use floats and the two kinds never mix in one comparison.
 from __future__ import annotations
 
 import math
+from bisect import insort
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -35,7 +37,7 @@ from .rng import law_of
 from .sequences import ChoiceSequence, Step, attach_run, is_valid, quoted, require_valid
 
 DEFAULT_STATE_CAP = 10_000_000
-DEFAULT_REVERSE_LENGTH_CAP = 12  # +^12, the slowest length-12 case, takes about 20 ms
+DEFAULT_REVERSE_LENGTH_CAP = 12  # +^12, the slowest length-12 case, takes about 3 ms on 2 vCPUs
 INT64_KEY_BITS = 62  # widest packed key that the array step runs on
 ARRAY_STEP_ENTRIES = 1 << 20  # most (state, depth) entries one array slice holds
 
@@ -157,9 +159,10 @@ def exact_height_distribution_forward(
     denominator, which bounds every weight, is below 2**63, each step runs
     on int64 arrays of all states at once (``_forward_arrays``); otherwise
     states are stepped one at a time in a dict (``_forward_dict``).  Both
-    produce the same states in the same order, and a step that passes
-    ``state_cap`` raises the same StateSpaceExceeded: the count is taken
-    after the first source state whose transitions pass the cap.
+    visit a step's states in ascending packed key order, and a step that
+    passes ``state_cap`` raises the same StateSpaceExceeded: the count is
+    taken after the first source state, in that order, whose transitions
+    pass the cap.
     """
     require_valid(seq)
     if _fits_int64(seq):
@@ -182,8 +185,8 @@ def _fits_int64(seq: ChoiceSequence) -> bool:
 
 
 def _forward_dict(seq: ChoiceSequence, state_cap: int) -> HeightDistribution:
-    """The forward DP over Python ints, one source state at a time; the
-    state_cap check runs after each source state."""
+    """The forward DP over Python ints, one source state at a time in
+    ascending key order; the state_cap check runs after each source state."""
     width, hb = _packing(seq)
     hmask, digit = (1 << hb) - 1, (1 << width) - 1
     units = [1 << hb, 1 << (hb + width)]  # grows by one depth per attach step
@@ -194,8 +197,8 @@ def _forward_dict(seq: ChoiceSequence, state_cap: int) -> HeightDistribution:
         moves = units[1:] if attach else [-u for u in units]
         next_states: dict[int, int] = {}
         get = next_states.get
-        for key, weight in states.items():
-            height = key & hmask
+        for key in sorted(states):
+            weight, height = states[key], key & hmask
             top = height if attach else -1  # the depth whose attach raises the height
             rest = key >> hb
             depth = 0
@@ -220,12 +223,16 @@ def _forward_dict(seq: ChoiceSequence, state_cap: int) -> HeightDistribution:
 def _forward_arrays(seq: ChoiceSequence, state_cap: int) -> HeightDistribution:
     """The forward DP with each step over all states at once on int64 arrays.
 
-    ``keys`` and ``weights`` hold the states in the dict DP's insertion
-    order.  A step unpacks every digit of every state with one shift and
-    mask, builds the (state, occupied depth) transitions in row-major order,
-    which is the dict's order, and merges equal keys in order of first
-    occurrence.  A step whose digit array would pass ARRAY_STEP_ENTRIES runs
-    over slices of the states, each merged after the states already made.
+    ``keys`` and ``weights`` hold the states in ascending packed key order,
+    the order ``_forward_dict`` visits them in.  A step unpacks every digit
+    of every state depth-major with one shift and mask.  The sources ascend,
+    so each depth's moved keys form one ascending run: an attach at depth d
+    adds ``units[d + 1]`` plus 1 where d is the height, which keeps keys
+    non-decreasing, and a freeze subtracts ``units[d]``.  One stable sort
+    (a timsort on int64, which merges presorted runs) merges the runs and
+    one ``add.reduceat`` sums equal keys.  A step whose digit array would
+    pass ARRAY_STEP_ENTRIES runs over slices of the states, each merged with
+    the states the earlier slices made.
     """
     width, hb = _packing(seq)
     hmask, digit = (1 << hb) - 1, (1 << width) - 1
@@ -239,22 +246,26 @@ def _forward_arrays(seq: ChoiceSequence, state_cap: int) -> HeightDistribution:
         next_keys = next_weights = np.zeros(0, dtype=np.int64)
         for lo in range(0, len(keys), rows):
             source = keys[lo : lo + rows]
-            counts = (source[:, None] >> shifts[:depths]) & digit
-            state, depth = np.nonzero(counts)
+            counts = (source >> shifts[:depths, None]) & digit
+            depth, state = np.nonzero(counts)
             moved = source[state] + moves[depth]
             if attach:
                 moved += depth == (source[state] & hmask)
-            added = weights[lo : lo + rows][state] * counts[state, depth]
-            held = len(next_keys)  # states made by the earlier slices come first
+            added = weights[lo : lo + rows][state] * counts[depth, state]
             moved = np.concatenate((next_keys, moved))
-            firsts, sums = _first_occurrence_sums(moved, np.concatenate((next_weights, added)))
-            if len(firsts) > state_cap:
-                # the count after the source state of the first key past the cap
-                past = firsts[max(state_cap, 0)] - held
-                end = np.searchsorted(state, state[past], side="right")
-                reached = int(np.searchsorted(firsts, held + end))
+            order = np.argsort(moved, kind="stable")
+            moved = moved[order]
+            starts = np.flatnonzero(np.concatenate(([True], moved[1:] != moved[:-1])))
+            if len(starts) > state_cap:
+                # the count after the first source state that takes it past the
+                # cap; states made by earlier slices have source -1
+                sources = np.concatenate((np.full(len(next_keys), -1), state))
+                least = np.sort(np.minimum.reduceat(sources[order], starts))
+                past = least[max(state_cap, 0)]
+                reached = int(np.searchsorted(least, past, side="right"))
                 raise _state_cap_error("forward", seq, j, reached, state_cap)
-            next_keys, next_weights = moved[firsts], sums
+            next_keys = moved[starts]
+            next_weights = np.add.reduceat(np.concatenate((next_weights, added))[order], starts)
         keys, weights = next_keys, next_weights
         depths += attach
     totals = np.zeros(seq.attach_count + 1, dtype=np.int64)
@@ -263,21 +274,6 @@ def _forward_arrays(seq: ChoiceSequence, state_cap: int) -> HeightDistribution:
     return HeightDistribution.from_exact(
         {h: Fraction(w, denominator) for h, w in enumerate(totals.tolist()) if w}
     )
-
-
-def _first_occurrence_sums(
-    keys: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each distinct key's first position and weight sum, in order of first
-    occurrence.  Sorting groups equal keys; the first position of a group is
-    its least, so the sort need not be stable (numpy's default sort made the
-    69 exact_pool laws about a fifth faster than a stable sort, on 2 vCPUs)."""
-    order = np.argsort(keys)
-    ordered = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    firsts = np.minimum.reduceat(order, starts)
-    by_first = np.argsort(firsts)
-    return firsts[by_first], np.add.reduceat(weights[order], starts)[by_first]
 
 
 def _law(weighted: Iterable[tuple[int, int]], denominator: int) -> HeightDistribution:
@@ -318,9 +314,13 @@ def exact_height_distribution_reverse(
 
     Enumerates every ordered graft-pair draw, merging states that share the
     same multiset of tree heights (slot order cannot influence the law since
-    pairs are drawn uniformly over ordered slot pairs).  Every state of an
-    attach step has the same s trees, so each graft keeps its integer weight
-    and the step multiplies the shared denominator by s(s-1).
+    pairs are drawn uniformly over ordered slot pairs).  A state's grafts
+    run over distinct (target, donor) height pairs, each weighted by its
+    count of ordered slot pairs, target ascending and then donor ascending:
+    the order in which a loop over slot pairs first meets them, so new states
+    enter in the same order.  Every state of an attach step has the same s
+    trees, so each graft keeps its integer weight and the step multiplies the
+    shared denominator by s(s-1).
     """
     if len(seq) > length_cap:
         raise StateSpaceExceeded(
@@ -339,17 +339,17 @@ def exact_height_distribution_reverse(
             s += 1
         else:
             for heights, weight in states.items():
-                for target in range(s):
-                    for donor in range(s):
-                        if donor == target:
-                            continue
-                        merged = max(heights[target], heights[donor] + 1)
-                        rest = [
-                            heights[x] for x in range(s) if x != target and x != donor
-                        ]
-                        rest.append(merged)
-                        key = tuple(sorted(rest))
-                        next_states[key] = next_states.get(key, 0) + weight
+                tally = Counter(heights)  # heights ascend, so its keys do too
+                for target, targets in tally.items():
+                    for donor, donors in tally.items():
+                        pairs = targets * (donors - (donor == target))
+                        if pairs:
+                            rest = list(heights)
+                            rest.remove(target)
+                            rest.remove(donor)
+                            insort(rest, max(target, donor + 1))
+                            key = tuple(rest)
+                            next_states[key] = next_states.get(key, 0) + weight * pairs
                 if len(next_states) > state_cap:
                     size = len(next_states)
                     raise _state_cap_error("reverse", seq, i + 1, size, state_cap)

@@ -311,7 +311,9 @@ class TestInt64ArrayStep:
         assert_caps_agree(parse_sequence(text))
 
     @pytest.mark.parametrize("entries", [1, 2, 5, 16])
-    @pytest.mark.parametrize("text", ["+^8", "+^4-+^3", "+^3-^2+^4", "+^2-^2+^5"])
+    @pytest.mark.parametrize(
+        "text", ["+^8", "+^4-+^3", "+^3-^2+^4", "+^2-^2+^5", "(+-)^6", "+^5-^4+^3"]
+    )
     def test_sliced_steps_keep_the_law_and_the_cap(self, monkeypatch, entries, text):
         monkeypatch.setattr(exact, "ARRAY_STEP_ENTRIES", entries)
         assert_caps_agree(parse_sequence(text))
@@ -331,7 +333,59 @@ class TestInt64ArrayStep:
                 exact._forward_arrays(seq, int(peak) - 1)
 
 
+def reverse_by_slot_pairs(seq, state_cap):
+    """The reverse DP with a loop over every ordered (target, donor) slot
+    pair: the reference for the library's loop over distinct height pairs."""
+    s = seq.walk.final
+    states = {(0,) * s: 1}
+    denominator = 1
+    for i in range(len(seq) - 1, -1, -1):
+        next_states = {}
+        if seq.steps[i] is Step.FREEZE:
+            for heights, weight in states.items():
+                key = (0,) + heights
+                next_states[key] = next_states.get(key, 0) + weight
+            s += 1
+        else:
+            for heights, weight in states.items():
+                for target in range(s):
+                    for donor in range(s):
+                        if donor == target:
+                            continue
+                        merged = max(heights[target], heights[donor] + 1)
+                        rest = [
+                            heights[x] for x in range(s) if x != target and x != donor
+                        ]
+                        rest.append(merged)
+                        key = tuple(sorted(rest))
+                        next_states[key] = next_states.get(key, 0) + weight
+                if len(next_states) > state_cap:
+                    raise exact._state_cap_error(
+                        "reverse", seq, i + 1, len(next_states), state_cap
+                    )
+            denominator *= s * (s - 1)
+            s -= 1
+        states = next_states
+    return dist({h: Fraction(w, denominator) for (h,), w in states.items()})
+
+
 class TestReverseDistribution:
+    @pytest.mark.parametrize("text", ["+^4-+^3", "+^6", "+^3-^2+^4", "(+-)^5"])
+    def test_height_pairs_match_slot_pairs_at_every_cap(self, text):
+        # every cap from -2 up to the first that passes gives the slot loop's
+        # law or its StateSpaceExceeded message
+        def library(seq, cap):
+            return exact_height_distribution_reverse(seq, state_cap=cap)
+
+        seq = parse_sequence(text)
+        cap = -2
+        while True:
+            expected = cap_outcome(reverse_by_slot_pairs, seq, cap)
+            assert cap_outcome(library, seq, cap) == expected, (text, cap)
+            if not isinstance(expected, str):
+                return
+            cap += 1
+
     def test_state_cap_message(self):
         # undoing the last attach of +^4-+^3 leaves (0^5, 1); undoing step 7
         # gives (0^4, 1^2), (0^5, 1) and (0^5, 2)
