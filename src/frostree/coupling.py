@@ -76,12 +76,8 @@ class ReducedSequence:
 
 
 def _leading_attach_run(seq: ChoiceSequence) -> int:
-    k = 0
-    for step in seq.steps:
-        if step is not Step.ATTACH:
-            break
-        k += 1
-    return k
+    flags = seq.attach_flags()
+    return flags.index(False) if False in flags else len(flags)
 
 
 def _reducible_run(seq: ChoiceSequence) -> int:
@@ -117,27 +113,27 @@ def reduce_to_prefix(seq: ChoiceSequence, r: int) -> ChoiceSequence:
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    steps = seq.steps
+    flags = seq.attach_flags()
     run = _leading_attach_run(seq)
     if run >= r:
         return seq
     require_valid(seq)  # invalid input fails as invalid before it fails as unreachable
     # The current sequence is a leading run of `run` attaches followed by
-    # steps[at:], so each reduction moves an index instead of copying steps.
+    # seq.steps[at:], so each reduction moves an index instead of copying steps.
     # A target above max - 1 is unreachable (see above) and fails at once.
     at = run
     reachable = r <= seq.walk.max_value - 1
-    while reachable and 0 < run < r and at < len(steps):
+    while reachable and 0 < run < r and at < len(flags):
         run -= 1  # drop the run's last attach and the freeze after it
         at += 1
-        while at < len(steps) and steps[at] is Step.ATTACH:
+        while at < len(flags) and flags[at]:
             run += 1
             at += 1
     if run < r:
         raise TargetUnreachable(
             f"cannot reach a leading attach run of {r} from {quoted(seq)}"
         )
-    return ChoiceSequence((Step.ATTACH,) * run + steps[at:])
+    return ChoiceSequence((Step.ATTACH,) * run + seq.steps[at:])
 
 
 # --------------------------------------------------------------------------
@@ -153,8 +149,8 @@ def _reduce_sizes(seq: ChoiceSequence, k: int) -> np.ndarray:
     spare adds one tree, and each of the k pairs after it removes one."""
     n = seq.walk.final
     forests = []
-    for step in reversed(seq.steps[k + 1 :]):
-        if step is Step.FREEZE:
+    for attach in reversed(seq.attach_flags()[k + 1 :]):
+        if not attach:
             n += 1
         else:
             forests.append(n)
@@ -200,8 +196,8 @@ def couple_reduce(
     pairs = ((a, pair_second(a, r)) for a, r in zip(drawn[::2], drawn[1::2]))
 
     forest = [0] * seq.walk.final
-    for step in reversed(seq.steps[k + 1 :]):
-        if step is Step.FREEZE:
+    for attach in reversed(seq.attach_flags()[k + 1 :]):
+        if not attach:
             forest.append(0)
         else:
             a, b = next(pairs)
@@ -300,8 +296,8 @@ def couple_reduce_heights(
 
     forest = np.zeros((replicas, seq.walk.final), dtype=np.int64)
     j = 0
-    for step in reversed(seq.steps[k + 1 :]):
-        if step is Step.FREEZE:
+    for attach in reversed(seq.attach_flags()[k + 1 :]):
+        if not attach:
             forest = np.hstack((forest, singleton))
         else:
             forest = _graft_rows(forest, rows, pair_a[j], pair_b[j], pair_b[j])

@@ -34,7 +34,7 @@ from .errors import InvalidSequence, StateSpaceExceeded
 from .forward import forward_height
 from .reverse import build_reverse
 from .rng import law_of
-from .sequences import ChoiceSequence, Step, attach_run, is_valid, quoted, require_valid
+from .sequences import ChoiceSequence, attach_run, is_valid, quoted, require_valid
 
 DEFAULT_STATE_CAP = 10_000_000
 DEFAULT_REVERSE_LENGTH_CAP = 12  # +^12, the slowest length-12 case, takes about 3 ms on 2 vCPUs
@@ -66,7 +66,7 @@ class HeightDistribution:
     @staticmethod
     def _checked(cleaned: dict, exact: bool) -> "HeightDistribution":
         total = sum(cleaned.values())  # a Fraction or float; 0 when empty
-        if abs(total - 1) > (0 if exact else 1e-12):
+        if not abs(total - 1) <= (0 if exact else 1e-12):  # a NaN total fails too
             raise ValueError(f"{'exact' if exact else 'float'} masses sum to {total}, expected 1")
         if any(p < 0 for p in cleaned.values()) or any(h < 0 for h in cleaned):
             raise ValueError("negative mass or height")
@@ -95,14 +95,6 @@ class HeightDistribution:
     def mass(self, h: int) -> Fraction | float:
         return self.masses.get(h, self._zero())
 
-    def cdf_pairs(self) -> list[tuple[int, Fraction | float]]:
-        acc = self._zero()
-        out = []
-        for h in self.support:
-            acc += self.masses[h]
-            out.append((h, acc))
-        return out
-
     def mean(self) -> Fraction | float:
         return sum((h * p for h, p in self.masses.items()), self._zero())
 
@@ -118,13 +110,16 @@ class HeightDistribution:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "HeightDistribution":
+        support = obj["support"]
+        if len(set(support)) != len(support):
+            raise ValueError("repeated height in support")
         if "mass_num" in obj:
             masses = {
                 h: Fraction(n, d)
-                for h, n, d in zip(obj["support"], obj["mass_num"], obj["mass_den"])
+                for h, n, d in zip(support, obj["mass_num"], obj["mass_den"], strict=True)
             }
             return HeightDistribution.from_exact(masses)
-        return HeightDistribution.from_float(dict(zip(obj["support"], obj["mass"])))
+        return HeightDistribution.from_float(dict(zip(support, obj["mass"], strict=True)))
 
     def to_csv(self) -> str:
         lines = ["height,probability"]
@@ -332,7 +327,7 @@ def exact_height_distribution_reverse(
     denominator = 1
     for i in range(len(seq) - 1, -1, -1):
         next_states: dict[tuple[int, ...], int] = {}
-        if seq.steps[i] is Step.FREEZE:
+        if not seq.attach_flags()[i]:
             for heights, weight in states.items():
                 key = (0,) + heights  # keys are sorted and heights nonnegative
                 next_states[key] = next_states.get(key, 0) + weight

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InvalidSequence
 from .rng import Driver, IndexColumns, RngStream, StreamRange, _as_driver, index_block
-from .sequences import ChoiceSequence, Step, quoted, require_valid
+from .sequences import ChoiceSequence, quoted, require_valid
 from .tree import Status, TreeArena
 
 
@@ -54,10 +54,10 @@ def build_forward(
 ) -> TreeArena | tuple[TreeArena, ForwardTrace]:
     """Run the forward construction and return the finished arena.
 
-    Raises InvalidSequence if some step finds no active vertex (exactly the
-    sequences whose walk hits 0 before the end).  With ``trace=True`` also
-    returns the per-step trajectory.
+    Raises InvalidSequence, before any draw, when the walk hits 0 before the
+    end.  With ``trace=True`` also returns the per-step trajectory.
     """
+    require_valid(seq)
     driver = _as_driver(rng)
     parents = [-1]
     depths = [0]
@@ -68,14 +68,9 @@ def build_forward(
     counts: list[int] = []
     heights: list[int] = []
 
-    for j, step in enumerate(seq.steps, start=1):
-        size = len(active)
-        if size == 0:
-            raise InvalidSequence(
-                f"no active vertex left at step {j} of {quoted(seq)}"
-            )
-        i = driver.index(size)
-        if step is Step.ATTACH:
+    for j, attach in enumerate(seq.attach_flags(), start=1):
+        i = driver.index(len(active))
+        if attach:
             v = active[i]
             child = len(parents)
             parents.append(v)
@@ -90,7 +85,7 @@ def build_forward(
             v = active[i]
             statuses[v] = Status.FROZEN
             last = active.pop()
-            if i < size - 1:
+            if i < len(active):
                 active[i] = last
         if trace:
             counts.append(len(active))
@@ -159,9 +154,9 @@ def batch_replicas(seq: ChoiceSequence) -> int:
 def forward_heights(seq: ChoiceSequence, streams: StreamRange) -> np.ndarray:
     """Int64 heights of len(streams) forward builds: entry r equals
     ``forward_height(seq, RngStream(master_seed, start + r))``, drawn from the
-    same uniforms in the same order.  Batches of ``batch_replicas(seq)``
-    streams keep the memory bounds.  Raises InvalidSequence when the walk
-    dies early."""
+    same uniforms in the same order.  The caller keeps the memory bounds by
+    passing at most ``batch_replicas(seq)`` streams, as ``run_mc`` does.
+    Raises InvalidSequence when the walk dies early."""
     require_valid(seq)
     if len(streams) == 0:
         return np.zeros(0, dtype=np.int64)
@@ -381,6 +376,6 @@ def uniform_active_depth_law(seq: ChoiceSequence) -> list[Fraction]:
         )
     return [
         Fraction(1, profile.s_values[i])
-        for i, step in enumerate(seq.steps, start=1)
-        if step is Step.ATTACH
+        for i, attach in enumerate(seq.attach_flags(), start=1)
+        if attach
     ]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import SelfGraft
 from .rng import Driver, RngStream, _as_driver
-from .sequences import ChoiceSequence, Step, require_valid
+from .sequences import ChoiceSequence, require_valid
 from .tree import Status, TreeArena
 
 
@@ -46,36 +46,25 @@ class Forest:
     def tree_count(self) -> int:
         return len(self.slots)
 
-    def add_singleton(self, status: Status, birth_step: int) -> RootedTreeHandle:
+    def add_singleton(self, status: Status, birth_step: int) -> None:
         """Append a one-vertex tree in the last position."""
         v = len(self._parents)
         self._parents.append(-1)
         self._statuses.append(status)
         self._births.append(birth_step)
-        handle = RootedTreeHandle(root=v, height=0)
-        self.slots.append(handle)
-        return handle
+        self.slots.append(RootedTreeHandle(root=v, height=0))
 
-    def graft(
-        self, target: RootedTreeHandle, donor: RootedTreeHandle
-    ) -> RootedTreeHandle:
-        """Attach donor's root as a child of target's root.
-
-        Returns the combined tree (rooted at target's root, height the max of
-        target's height and donor's height plus one).  Positions are not
-        touched; use :meth:`graft_positions` for the positional step.
-        """
+    def graft_positions(self, target_pos: int, donor_pos: int) -> None:
+        """Hang the tree at donor_pos under the root of the one at target_pos
+        and drop the donor slot; remaining slots keep their relative order.
+        The merged tree's height is max(target height, donor height + 1)."""
+        target, donor = self.slots[target_pos], self.slots[donor_pos]
         if target.root == donor.root:
             raise SelfGraft("cannot graft a tree onto itself")
         self._parents[donor.root] = target.root
-        return RootedTreeHandle(
+        merged = RootedTreeHandle(
             root=target.root, height=max(target.height, donor.height + 1)
         )
-
-    def graft_positions(self, target_pos: int, donor_pos: int) -> None:
-        """Graft the tree at donor_pos onto the one at target_pos and drop the
-        donor slot; remaining slots keep their relative order."""
-        merged = self.graft(self.slots[target_pos], self.slots[donor_pos])
         self.slots.pop(donor_pos)
         self.slots[target_pos if target_pos < donor_pos else target_pos - 1] = merged
 
@@ -132,7 +121,7 @@ def build_reverse(seq: ChoiceSequence, rng: RngStream | Driver) -> TreeArena:
     for _ in range(seq.walk.final):
         forest.add_singleton(Status.ACTIVE, birth_step=m)
     for i in range(m, 0, -1):
-        if seq.steps[i - 1] is Step.FREEZE:
+        if not seq.attach_flags()[i - 1]:
             forest.add_singleton(Status.FROZEN, birth_step=i)
         else:
             a, b = driver.distinct_pair(forest.tree_count)

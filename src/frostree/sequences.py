@@ -57,9 +57,6 @@ class ChoiceSequence:
     def __add__(self, other: "ChoiceSequence") -> "ChoiceSequence":
         return ChoiceSequence(self.steps + other.steps)
 
-    def __mul__(self, k: int) -> "ChoiceSequence":
-        return ChoiceSequence(self.steps * k)
-
     @cached_property
     def attach_count(self) -> int:
         return sum(self._flags)
@@ -96,10 +93,6 @@ class ChoiceSequence:
     @staticmethod
     def from_signs(signs: Iterable[int]) -> "ChoiceSequence":
         return ChoiceSequence(tuple(Step(int(s)) for s in signs))
-
-    @staticmethod
-    def from_text(text: str) -> "ChoiceSequence":
-        return parse_sequence(text)
 
     @property
     def text(self) -> str:
@@ -182,7 +175,7 @@ def _parse_term(text: str, pos: int, out: list[Step], enclosing: int) -> int:
     if after < len(text) and text[after] == "^":
         count_at = _skip_ws(text, after + 1)
         pos = count_at
-        while pos < len(text) and text[pos].isdigit():
+        while pos < len(text) and "0" <= text[pos] <= "9":
             pos += 1
         if pos == count_at:
             raise SequenceSyntaxError("expected repetition count after '^'", count_at)

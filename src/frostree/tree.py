@@ -4,19 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 
 class Status(Enum):
     ACTIVE = "a"
     FROZEN = "f"
-
-
-class VertexRecord(NamedTuple):
-    parent: int | None
-    depth: int
-    status: Status
-    birth_step: int
 
 
 @dataclass(eq=False)
@@ -49,19 +41,6 @@ class TreeArena:
 
     def __len__(self) -> int:
         return len(self.parents)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.parents) - 1
-
-    def vertex(self, index: int) -> VertexRecord:
-        parent = self.parents[index]
-        return VertexRecord(
-            parent=None if parent < 0 else parent,
-            depth=self.depths[index],
-            status=self.statuses[index],
-            birth_step=self.birth_steps[index],
-        )
 
     def active_count(self) -> int:
         return len(self.active_list)

@@ -554,6 +554,11 @@ class TestErrors:
         assert code == 1
         assert "offset" in err
 
+    def test_non_ascii_repetition_count_is_a_syntax_error(self, capsys):
+        code, out, err = run_cli(capsys, "exact", "--seq", "+^\u00b2")
+        assert code == 1 and out == ""
+        assert "expected repetition count after '^' (at offset 2)" in err
+
 
 def test_console_script_subprocess():
     result = subprocess.run(

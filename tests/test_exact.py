@@ -449,6 +449,28 @@ class TestHeightDistribution:
         obj = json.loads(json.dumps(d.to_json_obj()))
         assert HeightDistribution.from_json_obj(obj) == d
 
+    @pytest.mark.parametrize("obj", [
+        {"support": [0, 1], "mass_num": [1], "mass_den": [1]},
+        {"support": [0], "mass_num": [1, 0], "mass_den": [1, 1]},
+        {"support": [0, 1], "mass": [1.0]},
+    ])
+    def test_json_mass_lists_must_match_the_support(self, obj):
+        with pytest.raises(ValueError):
+            HeightDistribution.from_json_obj(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {"support": [0, 0], "mass_num": [1, 1], "mass_den": [1, 1]},
+        {"support": [0, 0], "mass": [1.0, 1.0]},
+    ])
+    def test_json_support_must_not_repeat(self, obj):
+        with pytest.raises(ValueError, match="repeated height"):
+            HeightDistribution.from_json_obj(obj)
+
+    @pytest.mark.parametrize("masses", [{0: math.nan}, {0: 1.0, 1: math.nan}])
+    def test_float_masses_must_not_be_nan(self, masses):
+        with pytest.raises(ValueError, match="sum to nan"):
+            HeightDistribution.from_float(masses)
+
     def test_csv(self):
         d = dist({0: "1/2", 2: "1/2"})
         assert d.to_csv() == "height,probability\n0,0.5\n2,0.5\n"

@@ -22,35 +22,46 @@ R = RngStream
 
 
 def chain(forest, height):
-    """A path tree of the given height, built by grafting under fresh tops."""
-    handle = forest.add_singleton(Status.ACTIVE, 0)
+    """Append a path tree of the given height to the forest's last slot, built
+    by grafting it under fresh singletons."""
+    forest.add_singleton(Status.ACTIVE, 0)
     for _ in range(height):
-        handle = forest.graft(forest.add_singleton(Status.ACTIVE, 0), handle)
-    return handle
+        forest.add_singleton(Status.ACTIVE, 0)
+        forest.graft_positions(forest.tree_count - 1, forest.tree_count - 2)
 
 
 class TestGraft:
     def test_two_singletons(self):
         forest = Forest()
-        a = forest.add_singleton(Status.ACTIVE, 0)
-        b = forest.add_singleton(Status.ACTIVE, 0)
-        merged = forest.graft(a, b)
-        assert merged.height == 1
-        assert merged.root == a.root
+        forest.add_singleton(Status.ACTIVE, 0)
+        forest.add_singleton(Status.ACTIVE, 0)
+        target_root = forest.slots[0].root
+        forest.graft_positions(0, 1)
+        assert forest.tree_count == 1
+        assert forest.slots[0].height == 1
+        assert forest.slots[0].root == target_root
 
     def test_tall_target_keeps_height(self):
         forest = Forest()
-        assert forest.graft(chain(forest, 2), chain(forest, 0)).height == 2
+        chain(forest, 2)
+        chain(forest, 0)
+        forest.graft_positions(0, 1)
+        assert [h.height for h in forest.slots] == [2]
 
     def test_tall_donor_adds_one(self):
         forest = Forest()
-        assert forest.graft(chain(forest, 1), chain(forest, 3)).height == 4
+        chain(forest, 1)
+        chain(forest, 3)
+        forest.graft_positions(0, 1)
+        assert [h.height for h in forest.slots] == [4]
 
     def test_self_graft_rejected(self):
         forest = Forest()
-        a = forest.add_singleton(Status.ACTIVE, 0)
+        forest.add_singleton(Status.ACTIVE, 0)
+        forest.add_singleton(Status.ACTIVE, 0)
         with pytest.raises(SelfGraft):
-            forest.graft(a, a)
+            forest.graft_positions(1, 1)
+        assert forest.tree_count == 2
 
 
 class TestBuildReverse:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +54,17 @@ class TestParse:
         with pytest.raises(SequenceSyntaxError) as info:
             parse_sequence(bad)
         assert 0 <= info.value.offset <= len(bad)
+
+    @pytest.mark.parametrize("text, offset, message", [
+        ("+^\u00b2", 2, "expected repetition count"),  # superscript two
+        ("+^\u0663", 2, "expected repetition count"),  # Arabic-Indic three
+        ("+^\u00b9\u2070", 2, "expected repetition count"),  # superscript one, zero
+        ("+^1\u00b2", 3, "expected '+', '-' or '('"),
+    ])
+    def test_repetition_counts_take_ascii_digits_only(self, text, offset, message):
+        with pytest.raises(SequenceSyntaxError, match=re.escape(message)) as info:
+            parse_sequence(text)
+        assert info.value.offset == offset
 
     def test_count_far_above_cap_rejected_at_its_offset(self):
         with pytest.raises(SequenceSyntaxError) as info:
