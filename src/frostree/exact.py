@@ -5,11 +5,10 @@ active vertices per depth plus the running height.  Both step types pick a
 uniform active vertex, so only its depth matters for the future, which makes
 the profile a lossless state for the height law.  The DP keys each state by
 one int, the counts as fixed-width digits above a height field, so an attach
-or a freeze is one integer add.  When every key fits in 62 bits and the
-law's denominator in int64, a step runs over all states at once on int64
-numpy arrays; wider inputs step one state at a time in a dict.  Both visit
-a step's states in ascending packed key order, so ``state_cap`` counts the
-same states on either path.  Reverse laws track the multiset of tree
+or a freeze is one integer add.  A step runs over all states at once on
+numpy arrays in ascending packed key order: int64 arrays when every key
+fits in 62 bits and the law's denominator in int64, object arrays of Python
+ints otherwise.  Reverse laws track the multiset of tree
 heights in the coalescing forest: graft pairs are drawn uniformly over
 ordered slot pairs, so slot order never influences the law and sorting the
 heights is an exact lumping of the positional chain.
@@ -149,20 +148,17 @@ def exact_height_distribution_forward(
     step share that divisor: weights stay integers and the law is weight /
     denominator, with one division per height at the end.
 
-    The path is chosen from the input alone.  When every key fits in
-    INT64_KEY_BITS bits (``hb + b * (attach_count + 1) <= 62``) and the
-    denominator, which bounds every weight, is below 2**63, each step runs
-    on int64 arrays of all states at once (``_forward_arrays``); otherwise
-    states are stepped one at a time in a dict (``_forward_dict``).  Both
-    visit a step's states in ascending packed key order, and a step that
-    passes ``state_cap`` raises the same StateSpaceExceeded: the count is
-    taken after the first source state, in that order, whose transitions
-    pass the cap.
+    Each step runs on arrays of all states at once (``_forward_arrays``),
+    whose dtype is chosen from the input alone: int64 when every key fits
+    in INT64_KEY_BITS bits (``hb + b * (attach_count + 1) <= 62``) and the
+    denominator, which bounds every weight, is below 2**63, and object
+    (Python ints) otherwise.  A step visits its states in ascending packed
+    key order, and one that passes ``state_cap`` raises
+    StateSpaceExceeded: the count is taken after the first source state, in
+    that order, whose transitions pass the cap.
     """
     require_valid(seq)
-    if _fits_int64(seq):
-        return _forward_arrays(seq, state_cap)
-    return _forward_dict(seq, state_cap)
+    return _forward_arrays(seq, state_cap)
 
 
 def _packing(seq: ChoiceSequence) -> tuple[int, int]:
@@ -179,66 +175,31 @@ def _fits_int64(seq: ChoiceSequence) -> bool:
     )
 
 
-def _forward_dict(seq: ChoiceSequence, state_cap: int) -> HeightDistribution:
-    """The forward DP over Python ints, one source state at a time in
-    ascending key order; the state_cap check runs after each source state."""
-    width, hb = _packing(seq)
-    hmask, digit = (1 << hb) - 1, (1 << width) - 1
-    units = [1 << hb, 1 << (hb + width)]  # grows by one depth per attach step
-    states: dict[int, int] = {units[0]: 1}
-    denominator = 1
-    steps = zip(seq.attach_flags(), seq.walk.s_values)
-    for j, (attach, total) in enumerate(steps, start=1):
-        moves = units[1:] if attach else [-u for u in units]
-        next_states: dict[int, int] = {}
-        get = next_states.get
-        for key in sorted(states):
-            weight, height = states[key], key & hmask
-            top = height if attach else -1  # the depth whose attach raises the height
-            rest = key >> hb
-            depth = 0
-            while rest:
-                count = rest & digit
-                if count:
-                    moved = key + moves[depth]
-                    if depth == top:
-                        moved += 1
-                    next_states[moved] = get(moved, 0) + weight * count
-                rest >>= width
-                depth += 1
-            if len(next_states) > state_cap:
-                raise _state_cap_error("forward", seq, j, len(next_states), state_cap)
-        if attach:
-            units.append(units[-1] << width)
-        states = next_states
-        denominator *= total
-    return _law(((key & hmask, w) for key, w in states.items()), denominator)
-
-
 def _forward_arrays(seq: ChoiceSequence, state_cap: int) -> HeightDistribution:
-    """The forward DP with each step over all states at once on int64 arrays.
+    """The forward DP with each step over all states at once on arrays of
+    ``_fits_int64``'s dtype: int64, or object when a key or weight is wider.
 
-    ``keys`` and ``weights`` hold the states in ascending packed key order,
-    the order ``_forward_dict`` visits them in.  A step unpacks every digit
-    of every state depth-major with one shift and mask.  The sources ascend,
-    so each depth's moved keys form one ascending run: an attach at depth d
-    adds ``units[d + 1]`` plus 1 where d is the height, which keeps keys
-    non-decreasing, and a freeze subtracts ``units[d]``.  One stable sort
-    (a timsort on int64, which merges presorted runs) merges the runs and
-    one ``add.reduceat`` sums equal keys.  A step whose digit array would
-    pass ARRAY_STEP_ENTRIES runs over slices of the states, each merged with
-    the states the earlier slices made.
+    ``keys`` and ``weights`` hold the states in ascending packed key order.
+    A step unpacks every digit of every state depth-major with one shift and
+    mask.  The sources ascend, so each depth's moved keys form one ascending
+    run: an attach at depth d adds ``units[d + 1]`` plus 1 where d is the
+    height, which keeps keys non-decreasing, and a freeze subtracts
+    ``units[d]``.  One stable sort (a timsort on int64, which merges
+    presorted runs) merges the runs and one ``add.reduceat`` sums equal keys.
+    A step whose digit array would pass ARRAY_STEP_ENTRIES runs over slices
+    of the states, each merged with the states the earlier slices made.
     """
     width, hb = _packing(seq)
     hmask, digit = (1 << hb) - 1, (1 << width) - 1
+    dtype = np.int64 if _fits_int64(seq) else object
     shifts = hb + width * np.arange(seq.attach_count + 2, dtype=np.int64)
-    units = np.left_shift(np.int64(1), shifts)
-    keys, weights = units[:1], np.ones(1, dtype=np.int64)
+    units = np.left_shift(np.ones(1, dtype=dtype), shifts)
+    keys, weights = units[:1], np.ones(1, dtype=dtype)
     depths = 1  # depths 0..depths-1 may hold active vertices
     for j, attach in enumerate(seq.attach_flags(), start=1):
         moves = units[1 : depths + 1] if attach else -units[:depths]
         rows = max(1, ARRAY_STEP_ENTRIES // depths)
-        next_keys = next_weights = np.zeros(0, dtype=np.int64)
+        next_keys = next_weights = np.zeros(0, dtype=dtype)
         for lo in range(0, len(keys), rows):
             source = keys[lo : lo + rows]
             counts = (source >> shifts[:depths, None]) & digit
@@ -263,8 +224,8 @@ def _forward_arrays(seq: ChoiceSequence, state_cap: int) -> HeightDistribution:
             next_weights = np.add.reduceat(np.concatenate((next_weights, added))[order], starts)
         keys, weights = next_keys, next_weights
         depths += attach
-    totals = np.zeros(seq.attach_count + 1, dtype=np.int64)
-    np.add.at(totals, keys & hmask, weights)
+    totals = np.zeros(seq.attach_count + 1, dtype=dtype)
+    np.add.at(totals, (keys & hmask).astype(np.int64, copy=False), weights)
     denominator = math.prod(seq.walk.s_values[:-1])
     return HeightDistribution.from_exact(
         {h: Fraction(w, denominator) for h, w in enumerate(totals.tolist()) if w}

@@ -114,7 +114,7 @@ def alternating(n: int) -> ChoiceSequence:
 
 # --------------------------------------------------------------------------
 # Text grammar:  seq := term+ ; term := atom ['^' positive-int] ;
-#                atom := '+' | '-' | '(' seq ')'        whitespace ignored
+#                atom := '+' | '-' | '(' seq ')'        ASCII whitespace ignored
 
 
 def parse_sequence(text: str) -> ChoiceSequence:
@@ -132,7 +132,7 @@ def parse_sequence(text: str) -> ChoiceSequence:
 
 
 def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
+    while pos < len(text) and text[pos] in " \t\n\r\f\v":  # ASCII: offsets count bytes
         pos += 1
     return pos
 

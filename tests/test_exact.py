@@ -243,14 +243,22 @@ def cap_outcome(dp, seq, cap):
 
 def assert_caps_agree(seq):
     """Every cap from -2 up to the peak, the first cap that passes, gives the
-    same message or the same law on the int64 path as on the dict path."""
+    same message or the same law from the array step as from the dict DP."""
     cap = -2
     while True:
         arrays = cap_outcome(exact._forward_arrays, seq, cap)
-        assert arrays == cap_outcome(exact._forward_dict, seq, cap), (seq.text, cap)
+        assert arrays == cap_outcome(forward_dict_reference, seq, cap), (seq.text, cap)
         if not isinstance(arrays, str):
             return
         cap += 1
+
+
+def with_object_dtype(texts):
+    """Each text with the real ``_fits_int64``, and again with one that sends
+    every input to the object dtype."""
+    return [pytest.param(text, exact._fits_int64, id=text) for text in texts] + [
+        pytest.param(text, lambda seq: False, id=f"{text}-object") for text in texts
+    ]
 
 
 @st.composite
@@ -266,8 +274,8 @@ POOL = Path(__file__).resolve().parent.parent / "perfbench" / "exact_pool.txt"
 
 class TestInt64ArrayStep:
     """The forward DP steps all states at once on int64 arrays when every key
-    and weight fits; the dict DP, stepping one state at a time, is its
-    reference and the path for wider inputs."""
+    and weight fits, and on object arrays otherwise; the dict DP, stepping
+    one state at a time, is its reference."""
 
     @pytest.mark.parametrize(
         "text, fits",
@@ -279,13 +287,11 @@ class TestInt64ArrayStep:
             ("+^2(-+)^24", False),  # 60 key bits, but 2 * 6^24 > 2^63
         ],
     )
-    def test_path_is_chosen_from_the_input(self, monkeypatch, text, fits):
+    def test_dtype_is_chosen_from_the_input(self, text, fits):
         seq = parse_sequence(text)
         assert exact._fits_int64(seq) is fits
-        law = exact._forward_dict(seq, exact.DEFAULT_STATE_CAP)
-        unused = "_forward_dict" if fits else "_forward_arrays"
-        monkeypatch.setattr(exact, unused, None)
-        assert exact_height_distribution_forward(seq) == law
+        law = exact_height_distribution_forward(seq)
+        assert law == forward_dict_reference(seq, exact.DEFAULT_STATE_CAP)
         assert law.mass(1) == root_only_mass(seq)
 
     @settings(max_examples=25, deadline=None)
@@ -298,23 +304,25 @@ class TestInt64ArrayStep:
     @example(parse_sequence("+^7-^8"))
     def test_int64_dict_and_reverse_agree(self, seq):
         law = exact_height_distribution_forward(seq)
-        assert law == exact._forward_dict(seq, exact.DEFAULT_STATE_CAP), seq.text
-        if exact._fits_int64(seq):
-            assert law == exact._forward_arrays(seq, exact.DEFAULT_STATE_CAP), seq.text
+        assert law == forward_dict_reference(seq, exact.DEFAULT_STATE_CAP), seq.text
         if len(seq) <= 14:
             assert law == exact_height_distribution_reverse(seq, length_cap=14), seq.text
 
     @pytest.mark.parametrize(
-        "text", ["+^8", "+^4-+^3", "+^3-^2+^4", "+^5-^4+^3", "(+-)^6", "+^6-^6"]
+        "text, fits",
+        with_object_dtype(["+^8", "+^4-+^3", "+^3-^2+^4", "+^5-^4+^3", "(+-)^6", "+^6-^6"]),
     )
-    def test_every_cap_gives_the_same_error(self, text):
+    def test_every_cap_gives_the_same_error(self, monkeypatch, text, fits):
+        monkeypatch.setattr(exact, "_fits_int64", fits)
         assert_caps_agree(parse_sequence(text))
 
     @pytest.mark.parametrize("entries", [1, 2, 5, 16])
     @pytest.mark.parametrize(
-        "text", ["+^8", "+^4-+^3", "+^3-^2+^4", "+^2-^2+^5", "(+-)^6", "+^5-^4+^3"]
+        "text, fits",
+        with_object_dtype(["+^8", "+^4-+^3", "+^3-^2+^4", "+^2-^2+^5", "(+-)^6", "+^5-^4+^3"]),
     )
-    def test_sliced_steps_keep_the_law_and_the_cap(self, monkeypatch, entries, text):
+    def test_sliced_steps_keep_the_law_and_the_cap(self, monkeypatch, entries, text, fits):
+        monkeypatch.setattr(exact, "_fits_int64", fits)
         monkeypatch.setattr(exact, "ARRAY_STEP_ENTRIES", entries)
         assert_caps_agree(parse_sequence(text))
 
@@ -328,9 +336,48 @@ class TestInt64ArrayStep:
             seq = parse_sequence(text)
             assert exact._fits_int64(seq), text
             law = exact._forward_arrays(seq, int(peak))
-            assert law == exact._forward_dict(seq, exact.DEFAULT_STATE_CAP), text
+            assert law == forward_dict_reference(seq, exact.DEFAULT_STATE_CAP), text
             with pytest.raises(StateSpaceExceeded):
                 exact._forward_arrays(seq, int(peak) - 1)
+
+
+def forward_dict_reference(seq, state_cap):
+    """The forward DP over Python ints in a dict, one source state at a time
+    in ascending key order, with the state_cap check after each source state:
+    the reference for the library's array step at either dtype."""
+    width, hb = exact._packing(seq)
+    hmask, digit = (1 << hb) - 1, (1 << width) - 1
+    units = [1 << hb, 1 << (hb + width)]  # grows by one depth per attach step
+    states = {units[0]: 1}
+    denominator = 1
+    steps = zip(seq.attach_flags(), seq.walk.s_values)
+    for j, (attach, total) in enumerate(steps, start=1):
+        moves = units[1:] if attach else [-u for u in units]
+        next_states = {}
+        for key in sorted(states):
+            weight, height = states[key], key & hmask
+            top = height if attach else -1  # the depth whose attach raises the height
+            rest = key >> hb
+            depth = 0
+            while rest:
+                count = rest & digit
+                if count:
+                    moved = key + moves[depth] + (depth == top)
+                    next_states[moved] = next_states.get(moved, 0) + weight * count
+                rest >>= width
+                depth += 1
+            if len(next_states) > state_cap:
+                raise exact._state_cap_error(
+                    "forward", seq, j, len(next_states), state_cap
+                )
+        if attach:
+            units.append(units[-1] << width)
+        states = next_states
+        denominator *= total
+    weights = {}
+    for key, weight in states.items():
+        weights[key & hmask] = weights.get(key & hmask, 0) + weight
+    return dist({h: Fraction(w, denominator) for h, w in weights.items()})
 
 
 def reverse_by_slot_pairs(seq, state_cap):

@@ -48,3 +48,43 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """Module-level ``_name`` functions, classes and assignments, each with
+    the statement that defines it."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        private = [name for name in names if name.startswith("_") and not name.endswith("__")]
+        found += [(name, node) for name in private]
+    return found
+
+
+def test_every_private_name_is_read_in_src():
+    # a private helper that only the tests call belongs in the tests
+    reads: list[tuple[Path, int, str]] = []  # (module, line, name)
+    definitions = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        definitions += [(path, name, node) for name, node in private_definitions(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                reads.append((path, node.lineno, node.attr))
+    unread = [
+        f"{path.name}:{name}"
+        for path, name, node in definitions
+        if not any(
+            read == name and not (where == path and node.lineno <= line <= node.end_lineno)
+            for where, line, read in reads
+        )
+    ]
+    assert unread == []

@@ -66,6 +66,16 @@ class TestParse:
             parse_sequence(text)
         assert info.value.offset == offset
 
+    @pytest.mark.parametrize("text", ["+\u3000x", "+\xa0+"])
+    def test_only_ascii_whitespace_is_skipped(self, text):
+        # an ideographic or no-break space is the unexpected character itself
+        with pytest.raises(SequenceSyntaxError, match="expected '\\+'") as info:
+            parse_sequence(text)
+        assert info.value.offset == 1
+
+    def test_ascii_whitespace_is_skipped(self):
+        assert parse_sequence(" \t+ \n").steps == (A,)
+
     def test_count_far_above_cap_rejected_at_its_offset(self):
         with pytest.raises(SequenceSyntaxError) as info:
             parse_sequence("+-+^100000000000")
