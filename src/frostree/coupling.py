@@ -20,9 +20,10 @@ Three families of couplings are provided.
   of the sequence with a plain recursive tree, by cutting the first edge of a
   recursive tree and grafting the two parts onto the surviving actives.
 
-Every operation accepts either an RngStream (Monte Carlo) or a choice driver,
-so exhaustive enumeration (``rng.law_of``) gives exact joint laws that certify
-the identities on small instances.
+Every scalar operation (one joint sample per call) accepts either an
+RngStream (Monte Carlo) or a choice driver, so exhaustive enumeration
+(``rng.law_of``) gives exact joint laws that certify the identities on small
+instances; the batched ones take a StreamRange.
 
 Monte Carlo rows are rendered from height columns: :func:`render_samples`
 fills one row template per replica and writes both the JSON and the CSV form
@@ -36,7 +37,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, count, repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,18 +55,12 @@ class FreezeCase(Enum):
     FROZEN_OTHER = "frozen_other"
 
 
-class CouplingTraceEntry(NamedTuple):
-    spare_absorbed: bool
-    pair: tuple[int, int]
-
-
 @dataclass(frozen=True)
 class CoupledSample:
     height_x: int
     height_xhat: int
     case_tag: FreezeCase | None = None
     i_split: int | None = None
-    trace: tuple[CouplingTraceEntry, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -173,7 +168,6 @@ def _graft_heights(forest: list[int], target: int, donor: int) -> None:
 def couple_reduce(
     seq: ChoiceSequence,
     rng: RngStream | Driver,
-    trace: bool = False,
     check: bool = False,
 ) -> CoupledSample:
     """Jointly sample the heights of a reducible sequence and its reduction.
@@ -218,7 +212,6 @@ def couple_reduce(
         expected = reduced_forest[t] + 1 if a == 0 else max(reduced_forest[t], 1)
         assert forest[t] == expected, "graft slot height off"
 
-    records: list[CouplingTraceEntry] = []
     spare_absorbed = False
     pending = None  # the reduced forest's next pair, one slot down
     for a, b in pairs:  # the k pairs after the spare
@@ -239,18 +232,12 @@ def couple_reduce(
                 if check:
                     check_absorption(a, b)
             pending = (a, b)
-        if trace:
-            records.append(CouplingTraceEntry(spare_absorbed, pending))
         if check and spare_absorbed:
             assert len(forest) == len(reduced_forest) and all(
                 h >= hr for h, hr in zip(forest, reduced_forest)
             ), "slot-wise height domination broken"
 
-    return CoupledSample(
-        height_x=forest[0],
-        height_xhat=reduced_forest[0],
-        trace=tuple(records) if trace else None,
-    )
+    return CoupledSample(height_x=forest[0], height_xhat=reduced_forest[0])
 
 
 def _graft_rows(
@@ -511,15 +498,3 @@ def render_samples(
     body = ",\n".join(rows)
     samples = f"[\n{body}\n  ]" if body else "[]"
     return f'{{\n  "mode": "mc",\n  "samples": {samples},\n  "which": {json.dumps(which)}\n}}\n'
-
-
-def samples_to_csv(samples: Iterable[CoupledSample]) -> str:
-    """Serialize a batch as ``replica,height_x,height_xhat,case`` rows."""
-    samples = list(samples)
-    return render_samples(
-        "csv",
-        "",
-        [s.height_x for s in samples],
-        [s.height_xhat for s in samples],
-        [s.case_tag for s in samples],
-    )

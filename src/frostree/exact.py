@@ -13,9 +13,10 @@ heights in the coalescing forest: graft pairs are drawn uniformly over
 ordered slot pairs, so slot order never influences the law and sorting the
 heights is an exact lumping of the positional chain.
 
-All oracle arithmetic is exact: the DPs carry integer weights over one
-shared denominator per law and divide once per height at the end.  Empirical
-distributions use floats and the two kinds never mix in one comparison.
+All arithmetic is exact: the DPs carry integer weights over one shared
+denominator per law and divide once per height at the end, and every law is a
+HeightDistribution of Fractions.  Monte Carlo results are integer height
+counts (``montecarlo.SimulationReport``), not laws.
 """
 
 from __future__ import annotations
@@ -43,42 +44,23 @@ ARRAY_STEP_ENTRIES = 1 << 20  # most (state, depth) entries one array slice hold
 
 @dataclass(frozen=True)
 class HeightDistribution:
-    """Probability masses on nonnegative integer heights.
+    """Exact probability masses on nonnegative integer heights.
 
-    ``exact=True`` masses are Fractions summing to exactly 1; float masses
-    must sum to 1 within 1e-12.  Zero-mass entries are dropped.
+    The masses are Fractions summing to exactly 1, and zero-mass entries are
+    dropped; ``from_exact`` is the one constructor that checks both.
     """
 
-    masses: Mapping[int, Fraction] | Mapping[int, float]
-    exact: bool
+    masses: Mapping[int, Fraction]
 
     @staticmethod
     def from_exact(masses: Mapping[int, Fraction]) -> "HeightDistribution":
         cleaned = {int(h): Fraction(p) for h, p in masses.items() if p != 0}
-        return HeightDistribution._checked(cleaned, exact=True)
-
-    @staticmethod
-    def from_float(masses: Mapping[int, float]) -> "HeightDistribution":
-        cleaned = {int(h): float(p) for h, p in masses.items() if p != 0.0}
-        return HeightDistribution._checked(cleaned, exact=False)
-
-    @staticmethod
-    def _checked(cleaned: dict, exact: bool) -> "HeightDistribution":
-        total = sum(cleaned.values())  # a Fraction or float; 0 when empty
-        if not abs(total - 1) <= (0 if exact else 1e-12):  # a NaN total fails too
-            raise ValueError(f"{'exact' if exact else 'float'} masses sum to {total}, expected 1")
+        total = sum(cleaned.values())  # 0 when empty
+        if total != 1:
+            raise ValueError(f"exact masses sum to {total}, expected 1")
         if any(p < 0 for p in cleaned.values()) or any(h < 0 for h in cleaned):
             raise ValueError("negative mass or height")
-        return HeightDistribution(cleaned, exact=exact)
-
-    @staticmethod
-    def from_counts(histogram: Mapping[int, int]) -> "HeightDistribution":
-        total = sum(histogram.values())
-        if total <= 0:
-            raise ValueError("empty histogram")
-        return HeightDistribution.from_float(
-            {h: c / total for h, c in histogram.items() if c}
-        )
+        return HeightDistribution(cleaned)
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -88,42 +70,46 @@ class HeightDistribution:
     def support_max(self) -> int:
         return max(self.masses)
 
-    def _zero(self) -> Fraction | float:
-        return Fraction(0) if self.exact else 0.0
+    def mass(self, h: int) -> Fraction:
+        return self.masses.get(h, Fraction(0))
 
-    def mass(self, h: int) -> Fraction | float:
-        return self.masses.get(h, self._zero())
-
-    def mean(self) -> Fraction | float:
-        return sum((h * p for h, p in self.masses.items()), self._zero())
+    def mean(self) -> Fraction:
+        return sum(h * p for h, p in self.masses.items())
 
     def to_json_obj(self) -> dict:
-        if self.exact:
-            support = list(self.support)
-            return {
-                "support": support,
-                "mass_num": [self.masses[h].numerator for h in support],
-                "mass_den": [self.masses[h].denominator for h in support],
-            }
-        return {"support": list(self.support), "mass": [self.masses[h] for h in self.support]}
+        support = list(self.support)
+        return {
+            "support": support,
+            "mass_num": [self.masses[h].numerator for h in support],
+            "mass_den": [self.masses[h].denominator for h in support],
+        }
 
     @staticmethod
     def from_json_obj(obj: dict) -> "HeightDistribution":
-        support = obj["support"]
+        """Inverse of ``to_json_obj``.  Raises ValueError unless obj is a dict
+        whose support, mass_num and mass_den are equally long lists of ints
+        (bools are not ints here), the support has no repeat and every
+        mass_den is positive."""
+        if not isinstance(obj, dict):
+            raise ValueError("a height law is a JSON object")
+        support, nums, dens = (obj.get(key) for key in ("support", "mass_num", "mass_den"))
+        if not _int_list(support):
+            raise ValueError("support must be a list of ints")
         if len(set(support)) != len(support):
             raise ValueError("repeated height in support")
-        if "mass_num" in obj:
-            masses = {
-                h: Fraction(n, d)
-                for h, n, d in zip(support, obj["mass_num"], obj["mass_den"], strict=True)
-            }
-            return HeightDistribution.from_exact(masses)
-        return HeightDistribution.from_float(dict(zip(support, obj["mass"], strict=True)))
+        if not (_int_list(nums) and _int_list(dens) and all(d > 0 for d in dens)):
+            raise ValueError("mass_num and mass_den must be lists of ints, mass_den positive")
+        masses = {h: Fraction(n, d) for h, n, d in zip(support, nums, dens, strict=True)}
+        return HeightDistribution.from_exact(masses)
 
     def to_csv(self) -> str:
         lines = ["height,probability"]
         lines += [f"{h},{float(self.masses[h])!r}" for h in self.support]
         return "\n".join(lines) + "\n"
+
+
+def _int_list(value: object) -> bool:
+    return isinstance(value, list) and all(type(x) is int for x in value)
 
 
 def exact_height_distribution_forward(
@@ -330,16 +316,11 @@ def reverse_law_by_enumeration(seq: ChoiceSequence) -> HeightDistribution:
 # Dominance
 
 
-def _require_same_mode(d1: HeightDistribution, d2: HeightDistribution) -> None:
-    if d1.exact != d2.exact:
-        raise ValueError("refusing to compare exact and float distributions")
-
-
 def stochastic_dominates(d1: HeightDistribution, d2: HeightDistribution) -> bool:
-    """True when d1 is stochastically at least d2 (d1's CDF pointwise <= d2's)."""
-    _require_same_mode(d1, d2)
+    """True when d1 is stochastically at least d2: d1's CDF is pointwise at
+    most d2's, compared exactly."""
     support = sorted(set(d1.masses) | set(d2.masses))
-    c1 = c2 = d1._zero()
+    c1 = c2 = Fraction(0)
     for h in support:
         c1 += d1.mass(h)
         c2 += d2.mass(h)
@@ -349,15 +330,13 @@ def stochastic_dominates(d1: HeightDistribution, d2: HeightDistribution) -> bool
 
 
 def floored(d: HeightDistribution, h: int) -> HeightDistribution:
-    """Law of max(h, H) for H distributed as d."""
+    """Exact law of max(h, H) for H distributed as d: the mass at or below h
+    moves to h."""
     if h < 0:
         raise ValueError("floor must be nonnegative")
-    at_floor = sum((p for hh, p in d.masses.items() if hh <= h), d._zero())
     out = {hh: p for hh, p in d.masses.items() if hh > h}
-    if at_floor != 0:
-        out[h] = at_floor
-    ctor = HeightDistribution.from_exact if d.exact else HeightDistribution.from_float
-    return ctor(out)
+    out[h] = sum(p for hh, p in d.masses.items() if hh <= h)  # from_exact drops a 0
+    return HeightDistribution.from_exact(out)
 
 
 def dominance_with_floor(
@@ -367,21 +346,17 @@ def dominance_with_floor(
     return stochastic_dominates(floored(d2, h), d1)
 
 
-def min_floor_search(
-    n: int,
-    sequence_family: Iterable[ChoiceSequence],
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> int:
+def min_floor_search(n: int, sequence_family: Iterable[ChoiceSequence]) -> int:
     """Smallest floor h such that every family member's height law, floored at
     h, dominates the freeze-free law with n attachments."""
-    reference = exact_height_distribution_forward(attach_run(n), state_cap)
+    reference = exact_height_distribution_forward(attach_run(n))
     laws = []
     for seq in sequence_family:
         if seq.attach_count != n or not is_valid(seq):
             raise InvalidSequence(
                 f"{quoted(seq)} is not an n={n} sequence with a surviving walk"
             )
-        laws.append(exact_height_distribution_forward(seq, state_cap))
+        laws.append(exact_height_distribution_forward(seq))
     for h in range(reference.support_max + 1):
         if all(dominance_with_floor(reference, law, h) for law in laws):
             return h

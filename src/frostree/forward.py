@@ -28,7 +28,6 @@ step, so its 2n steps become a few numpy calls per time block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -39,23 +38,11 @@ from .sequences import ChoiceSequence, quoted, require_valid
 from .tree import Status, TreeArena
 
 
-@dataclass(frozen=True)
-class ForwardTrace:
-    """Per-step trajectory: active count and running height after each step."""
-
-    active_counts: tuple[int, ...]
-    heights: tuple[int, ...]
-
-
-def build_forward(
-    seq: ChoiceSequence,
-    rng: RngStream | Driver,
-    trace: bool = False,
-) -> TreeArena | tuple[TreeArena, ForwardTrace]:
+def build_forward(seq: ChoiceSequence, rng: RngStream | Driver) -> TreeArena:
     """Run the forward construction and return the finished arena.
 
     Raises InvalidSequence, before any draw, when the walk hits 0 before the
-    end.  With ``trace=True`` also returns the per-step trajectory.
+    end.
     """
     require_valid(seq)
     driver = _as_driver(rng)
@@ -65,8 +52,6 @@ def build_forward(
     births = [0]
     active = [0]  # vertex indices; swap-remove keeps freeze O(1)
     height = 0
-    counts: list[int] = []
-    heights: list[int] = []
 
     for j, attach in enumerate(seq.attach_flags(), start=1):
         i = driver.index(len(active))
@@ -87,14 +72,8 @@ def build_forward(
             last = active.pop()
             if i < len(active):
                 active[i] = last
-        if trace:
-            counts.append(len(active))
-            heights.append(height)
 
-    arena = TreeArena(parents, depths, statuses, births, height, active)
-    if trace:
-        return arena, ForwardTrace(tuple(counts), tuple(heights))
-    return arena
+    return TreeArena(parents, depths, statuses, births, height, active)
 
 
 def forward_height(seq: ChoiceSequence, rng: RngStream | Driver) -> int:

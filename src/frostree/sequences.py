@@ -122,72 +122,62 @@ def parse_sequence(text: str) -> ChoiceSequence:
 
     Raises SequenceSyntaxError (with byte offset) on malformed input,
     including a repetition count of 0 and an expansion past MAX_STEPS steps.
+    Groups nest to any depth: open groups wait on an explicit stack.
     """
-    steps: list[Step] = []
-    pos = _parse_seq(text, 0, steps, 0)
-    pos = _skip_ws(text, pos)
+    out: list[Step] = []  # steps of the innermost open group, or of the text
+    groups: list[tuple[list[Step], int]] = []  # per open group: enclosing steps, '(' offset
+    enclosing = 0  # steps held by the enclosing groups, which the cap covers too
+    pos = 0
+    while True:
+        pos = _skip_ws(text, pos)
+        if pos < len(text) and text[pos] == "(":
+            groups.append((out, pos))
+            enclosing += len(out)
+            out = []
+            pos += 1
+            continue
+        if pos >= len(text) or text[pos] == ")":
+            if not out:
+                raise SequenceSyntaxError("expected '+', '-' or '('", pos)
+            if not groups:
+                break
+            if pos >= len(text):
+                raise SequenceSyntaxError("unclosed '('", pos)
+            atom = out
+            out, term_at = groups.pop()
+            enclosing -= len(out)
+        elif text[pos] in "+-":
+            atom, term_at = [Step.ATTACH if text[pos] == "+" else Step.FREEZE], pos
+        else:
+            raise SequenceSyntaxError(f"expected '+', '-' or '(', got {text[pos]!r}", pos)
+        pos += 1
+
+        count, count_at = 1, term_at
+        after = _skip_ws(text, pos)
+        if after < len(text) and text[after] == "^":
+            count_at = _skip_ws(text, after + 1)
+            pos = count_at
+            while pos < len(text) and "0" <= text[pos] <= "9":
+                pos += 1
+            if pos == count_at:
+                raise SequenceSyntaxError("expected repetition count after '^'", count_at)
+            digits = text[count_at:pos].lstrip("0")
+            if not digits:
+                raise SequenceSyntaxError("repetition count must be positive", count_at)
+            # a count with more digits than MAX_STEPS is over the cap; int() would
+            # also refuse one of more than 4300 digits
+            count = int(digits) if len(digits) <= len(str(MAX_STEPS)) else MAX_STEPS + 1
+        if enclosing + len(out) + len(atom) * count > MAX_STEPS:
+            raise SequenceSyntaxError(f"sequence expands past {MAX_STEPS} steps", count_at)
+        out.extend(atom * count)
     if pos != len(text):
         raise SequenceSyntaxError(f"unexpected character {text[pos]!r}", pos)
-    return ChoiceSequence(tuple(steps))
+    return ChoiceSequence(tuple(out))
 
 
 def _skip_ws(text: str, pos: int) -> int:
     while pos < len(text) and text[pos] in " \t\n\r\f\v":  # ASCII: offsets count bytes
         pos += 1
-    return pos
-
-
-def _parse_seq(text: str, pos: int, out: list[Step], enclosing: int) -> int:
-    """Parse terms into out; ``enclosing`` counts the steps already held by the
-    enclosing groups, which the expansion cap covers too."""
-    any_term = False
-    while True:
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] == ")":
-            break
-        pos = _parse_term(text, pos, out, enclosing)
-        any_term = True
-    if not any_term:
-        raise SequenceSyntaxError("expected '+', '-' or '('", pos)
-    return pos
-
-
-def _parse_term(text: str, pos: int, out: list[Step], enclosing: int) -> int:
-    count, count_at = 1, pos
-    ch = text[pos]
-    if ch == "+":
-        atom: list[Step] = [Step.ATTACH]
-        pos += 1
-    elif ch == "-":
-        atom = [Step.FREEZE]
-        pos += 1
-    elif ch == "(":
-        atom = []
-        pos = _parse_seq(text, pos + 1, atom, enclosing + len(out))
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] != ")":
-            raise SequenceSyntaxError("unclosed '('", pos)
-        pos += 1
-    else:
-        raise SequenceSyntaxError(f"expected '+', '-' or '(', got {ch!r}", pos)
-
-    after = _skip_ws(text, pos)
-    if after < len(text) and text[after] == "^":
-        count_at = _skip_ws(text, after + 1)
-        pos = count_at
-        while pos < len(text) and "0" <= text[pos] <= "9":
-            pos += 1
-        if pos == count_at:
-            raise SequenceSyntaxError("expected repetition count after '^'", count_at)
-        digits = text[count_at:pos].lstrip("0")
-        if not digits:
-            raise SequenceSyntaxError("repetition count must be positive", count_at)
-        # a count with more digits than MAX_STEPS is over the cap; int() would
-        # also refuse one of more than 4300 digits
-        count = int(digits) if len(digits) <= len(str(MAX_STEPS)) else MAX_STEPS + 1
-    if enclosing + len(out) + len(atom) * count > MAX_STEPS:
-        raise SequenceSyntaxError(f"sequence expands past {MAX_STEPS} steps", count_at)
-    out.extend(atom * count)
     return pos
 
 

@@ -21,10 +21,10 @@ from frostree import (
     couple_reduce,
     forward,
     parse_sequence,
-    samples_to_csv,
 )
 from frostree import cli, coupling
 from frostree.cli import main
+from sample_rows import csv_loop
 
 
 def run_cli(capsys, *argv):
@@ -243,7 +243,7 @@ class TestCouple:
         argv = ["couple", "--which", "reduce", "--seq", text,
                 "--replicas", str(replicas), "--seed", str(seed)]
         assert run_cli(capsys, *argv) == (0, want_json, "")
-        assert run_cli(capsys, *argv, "--format", "csv") == (0, samples_to_csv(samples), "")
+        assert run_cli(capsys, *argv, "--format", "csv") == (0, csv_loop(samples), "")
 
 
 # sha256 of couple's stdout for every --which x --mode x --format; mc runs
@@ -347,7 +347,7 @@ def test_reduce_mc_bytes_match_the_per_replica_loop_across_batches(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(forward, "MAX_BATCH", max_batch)
         assert stdout_of(argv) == want_json
-        assert stdout_of([*argv, "--format", "csv"]) == samples_to_csv(samples)
+        assert stdout_of([*argv, "--format", "csv"]) == csv_loop(samples)
 
 
 @pytest.mark.parametrize(

@@ -28,10 +28,10 @@ from frostree import (
     parse_sequence,
     reduce_once,
     reduce_to_prefix,
-    samples_to_csv,
     walk_profile,
 )
 from frostree.coupling import render_samples
+from sample_rows import csv_loop
 
 R = RngStream
 
@@ -254,19 +254,6 @@ class TestCoupleReduce:
             couple_reduce(parse_sequence(text), MonteCarloDriver(gen))
         assert gen.generated == 0
 
-    def test_trace_marker_monotone(self):
-        seq = parse_sequence("+^4-^2+-")
-        for i in range(200):
-            sample = couple_reduce(seq, R(31, i), trace=True)
-            absorbed = [entry.spare_absorbed for entry in sample.trace]
-            # switches to absorbed at most once and ends absorbed
-            assert absorbed[-1] is True
-            for before, after in zip(absorbed, absorbed[1:]):
-                assert after >= before
-            flip = absorbed.index(True)
-            pair = sample.trace[flip].pair
-            assert 0 in pair
-
 
 class TestCouplePropI:
     def test_minimal_case_matches_direct_formula(self):
@@ -377,7 +364,13 @@ class TestCouplePropIII:
 class TestCsv:
     def test_batch_serialization(self):
         samples = [couple_prop_ii(2, 2, R(5, i)) for i in range(3)]
-        text = samples_to_csv(samples)
+        text = render_samples(
+            "csv",
+            "prop_ii",
+            [s.height_x for s in samples],
+            [s.height_xhat for s in samples],
+            [s.case_tag for s in samples],
+        )
         lines = text.strip().splitlines()
         assert lines[0] == "replica,height_x,height_xhat,case"
         assert len(lines) == 4
@@ -389,15 +382,6 @@ class TestCsv:
 
 # --------------------------------------------------------------------------
 # The row renderer against json.dumps and the per-sample CSV loop
-
-
-def csv_loop(samples):
-    """The per-sample loop ``samples_to_csv`` ran before the renderer."""
-    lines = ["replica,height_x,height_xhat,case"]
-    for i, s in enumerate(samples):
-        case = s.case_tag.value if s.case_tag is not None else ""
-        lines.append(f"{i},{s.height_x},{s.height_xhat},{case}")
-    return "\n".join(lines) + "\n"
 
 
 heights = st.integers(0, 10**6)
@@ -433,4 +417,3 @@ def test_render_samples_matches_json_dumps_and_the_csv_loop(which, samples, tagg
     want = json.dumps({"which": which, "mode": "mc", "samples": rows}, sort_keys=True, indent=2)
     assert render_samples("json", which, height_x, height_xhat, cases) == want + "\n"
     assert render_samples("csv", which, height_x, height_xhat, cases) == csv_loop(samples)
-    assert samples_to_csv(samples) == csv_loop(samples)

@@ -476,9 +476,11 @@ class TestHeightDistribution:
             HeightDistribution.from_exact({1: Fraction(1, 2)})
 
     def test_float_tolerance(self):
-        HeightDistribution.from_float({1: 0.25, 2: 0.75})
-        with pytest.raises(ValueError):
-            HeightDistribution.from_float({1: 0.2, 2: 0.75})
+        # float masses convert exactly and get no tolerance: 0.25 and 0.75 are
+        # binary fractions, 0.2 is not 1/5
+        assert HeightDistribution.from_exact({1: 0.25, 2: 0.75}) == dist({1: "1/4", 2: "3/4"})
+        with pytest.raises(ValueError, match="sum to"):
+            HeightDistribution.from_exact({1: 0.25, 2: 0.2, 3: 0.55})
 
     def test_support_and_mean(self):
         d = dist({1: "1/4", 3: "3/4"})
@@ -491,15 +493,20 @@ class TestHeightDistribution:
         obj = json.loads(json.dumps(d.to_json_obj()))
         assert HeightDistribution.from_json_obj(obj) == d
 
-    def test_json_round_trip_float(self):
-        d = HeightDistribution.from_counts({1: 1, 2: 3})
-        obj = json.loads(json.dumps(d.to_json_obj()))
-        assert HeightDistribution.from_json_obj(obj) == d
-
     @pytest.mark.parametrize("obj", [
         {"support": [0, 1], "mass_num": [1], "mass_den": [1]},
         {"support": [0], "mass_num": [1, 0], "mass_den": [1, 1]},
         {"support": [0, 1], "mass": [1.0]},
+        {"support": [1.5], "mass_num": [1], "mass_den": [1]},
+        {"support": ["2"], "mass_num": [1], "mass_den": [1]},
+        {"support": [True], "mass_num": [1], "mass_den": [1]},
+        {"support": [0], "mass_num": [1], "mass_den": [1.0]},
+        {"support": [0], "mass_num": [True], "mass_den": [1]},
+        {"support": [0], "mass_num": [1], "mass_den": [0]},
+        {"support": [0], "mass_num": [1]},
+        {"support": 0, "mass_num": [1], "mass_den": [1]},
+        {"mass_num": [1], "mass_den": [1]},
+        [[0], [1], [1]],
     ])
     def test_json_mass_lists_must_match_the_support(self, obj):
         with pytest.raises(ValueError):
@@ -515,18 +522,12 @@ class TestHeightDistribution:
 
     @pytest.mark.parametrize("masses", [{0: math.nan}, {0: 1.0, 1: math.nan}])
     def test_float_masses_must_not_be_nan(self, masses):
-        with pytest.raises(ValueError, match="sum to nan"):
-            HeightDistribution.from_float(masses)
+        with pytest.raises(ValueError, match="NaN"):
+            HeightDistribution.from_exact(masses)
 
     def test_csv(self):
         d = dist({0: "1/2", 2: "1/2"})
         assert d.to_csv() == "height,probability\n0,0.5\n2,0.5\n"
-
-    def test_mixed_mode_comparison_rejected(self):
-        exact = dist({1: 1})
-        empirical = HeightDistribution.from_counts({1: 10})
-        with pytest.raises(ValueError):
-            stochastic_dominates(exact, empirical)
 
 
 class TestDominance:

@@ -71,19 +71,6 @@ class TestBuildForward:
         with pytest.raises(InvalidSequence):
             law_of(lambda d: forward_height(seq, d))
 
-    def test_trace_matches_walk(self):
-        seq = parse_sequence("+^4-^2+^2-")
-        profile = walk_profile(seq)
-        arena, trace = build_forward(seq, R(9, 3), trace=True)
-        assert trace.active_counts == profile.s_values[1:]
-        # height moves only on attach steps, by at most one
-        heights = (0,) + trace.heights
-        for step, before, after in zip(seq.steps, heights, heights[1:]):
-            assert after - before in (0, 1)
-            if step.char == "-":
-                assert after == before
-        assert arena.height == trace.heights[-1]
-
     @settings(max_examples=40, deadline=None)
     @given(valid_sequences(), st.integers(0, 2**32))
     def test_arena_invariants_and_height_agreement(self, seq, seed):

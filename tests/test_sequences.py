@@ -42,6 +42,18 @@ class TestParse:
     def test_nested_groups(self):
         assert parse_sequence("((+-)^2)^2").steps == (A, F) * 4
 
+    def test_groups_nest_past_the_recursion_limit(self):
+        assert parse_sequence("(" * 10**4 + "+" + ")" * 10**4).steps == (A,)
+        assert parse_sequence("(" * 10**4 + "+-" + ")" * (10**4 - 1) + ")^3") == alternating(3)
+
+    def test_unclosed_deep_group_is_a_syntax_error(self):
+        with pytest.raises(SequenceSyntaxError) as info:
+            parse_sequence("(" * 10**4)
+        assert info.value.offset == 10**4
+        with pytest.raises(SequenceSyntaxError, match="unclosed") as info:
+            parse_sequence("(" * 10**4 + "+")
+        assert info.value.offset == 10**4 + 1
+
     def test_whitespace_ignored(self):
         assert parse_sequence(" + ^ 2  ( - + ) ").steps == (A, A, F, A)
 
