@@ -18,16 +18,20 @@ one index block, here and in the reduction coupling and ``walk_gap_growth``.
 
 Where the walk is back at 1 the tree regrows from a lone active vertex, so
 the steps up to the next such time (an excursion) act on a replica only
-through that vertex's depth.  Within a time block, each group of equal
-excursions runs once from relative depth 0, with one lane per (excursion,
-replica); each lane gives the survivor's depth change and the excursion's
-deepest vertex, and a cumulative sum in time order folds them into the
-replicas' depths and heights.  ``(+-)^n`` is back at 1 after every second
-step, so its 2n steps become a few numpy calls per time block.
+through that vertex's depth.  Per (excursion, replica) lane of a time block,
+the kernel finds the survivor's depth change and the excursion's deepest
+vertex, and a cumulative sum in time order folds them into the replicas'
+depths and heights.  A group of equal excursions whose pattern has fewer index
+combinations (the product of its steps' option counts) than lanes reads them
+from a table that runs each combination once, from relative depth 0, and
+serves the whole batch; any other group runs once, one lane each.  The draws
+are the same either way.  ``(+-)^n`` has two combinations, so its 2n steps
+become a few numpy calls per time block.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -145,22 +149,19 @@ def forward_heights(seq: ChoiceSequence, streams: StreamRange) -> np.ndarray:
 
     n = len(seq)
     block = min(max(1, INDEX_BLOCK // len(streams)), n)
-    # the walk is 1 at these times: the tree regrows from a lone active vertex
-    cuts = np.flatnonzero(seq.sizes == 1)
-    if seq.walk.final == 1:
-        cuts = np.append(cuts, n)
     batch = _Batch(seq, len(streams), block)
     draws = IndexColumns(streams, block)
     for t0 in range(0, n, block):
         t1 = min(t0 + block, n)
         columns = draws.next(seq.sizes[t0:t1])
-        first, last = np.searchsorted(cuts, (t0, t1 + 1))
+        first, last = np.searchsorted(batch.cuts, (t0, t1 + 1))
         if last - first < 2:
             batch.run(t0, t1, columns)
         else:
-            batch.run(t0, int(cuts[first]), columns[: cuts[first] - t0])
-            batch.excursions(cuts[first:last], columns[cuts[first] - t0 : cuts[last - 1] - t0])
-            batch.run(int(cuts[last - 1]), t1, columns[cuts[last - 1] - t0 :])
+            a, b = int(batch.cuts[first]), int(batch.cuts[last - 1])
+            batch.run(t0, a, columns[: a - t0])
+            batch.excursions(first, last - 1, columns[a - t0 : b - t0])
+            batch.run(b, t1, columns[b - t0 :])
     return batch.height.astype(np.int64)
 
 
@@ -172,20 +173,21 @@ class _Batch:
     """A batch of forward builds with freezes, run time block by time block.
 
     ``state[p, r]`` is the depth of replica r's active vertex at position p;
-    ``height[r]`` is its running height.  Steps between two times at which
-    the walk is 1 form an excursion: it starts from a lone active vertex and
-    ends with one, so it acts on a replica's state only through that vertex's
-    depth.  ``excursions`` runs each group of equal excursions of a time
-    block once from relative depth 0, with one lane per (excursion, replica),
-    and folds the lanes' results into the state in time order.  The buffers
-    hold block * replicas entries, which bounds every array of a block: a
-    group of k excursions of L steps runs k * replicas lanes, and k * L <=
-    block."""
+    ``height[r]`` is its running height.  The walk is 1 at the times of
+    ``cuts``; ``excursions`` looks a group's lanes up in its pattern's table,
+    made once the pattern has fewer index combinations than lanes, and runs
+    them otherwise.  The buffers hold block * replicas entries, which bounds
+    every array of a block: a group of k excursions of L steps has k *
+    replicas lanes, and k * L <= block."""
 
     def __init__(self, seq: ChoiceSequence, replicas: int, block: int):
-        self.flags, self.s_values = seq.attach_flags(), seq.walk.s_values
-        sizes = seq.sizes
-        self.steps_up = np.append(sizes[1:] > sizes[:-1], seq.walk.final > sizes[-1])
+        self.flags, self.s_values, self.sizes = seq.attach_flags(), seq.walk.s_values, seq.sizes
+        self.cuts = np.flatnonzero(self.sizes == 1)
+        if seq.walk.final == 1:
+            self.cuts = np.append(self.cuts, len(seq))
+        steps_up = np.append(self.sizes[1:] > self.sizes[:-1], seq.walk.final > self.sizes[-1])
+        self.keys = _pattern_keys(steps_up, self.cuts)
+        self.tables: dict[int, tuple] = {}
         self.replicas = replicas
         self.state = np.zeros((seq.walk.max_value, replicas), dtype=np.int32)
         self.height = np.zeros(replicas, dtype=np.int32)
@@ -209,32 +211,40 @@ class _Batch:
         if attaches:
             np.maximum(self.height, depths[:attaches].max(axis=0) + _ONE, out=self.height)
 
-    def excursions(self, cuts: np.ndarray, columns: np.ndarray) -> None:
-        """The excursions between consecutive times of cuts (at least two, all
-        with walk value 1); columns holds the indices of steps cuts[0]..cuts[-1]-1."""
-        replicas = self.replicas
-        count = len(cuts) - 1
-        # the survivor's depth change and the excursion's deepest vertex,
-        # relative to its root, per (excursion, replica)
+    def excursions(self, first: int, last: int, columns: np.ndarray) -> None:
+        """Excursions first..last-1, excursion i running from cuts[i] to
+        cuts[i + 1]; columns holds the indices of steps cuts[first]..cuts[last]-1."""
+        replicas, count = self.replicas, last - first
+        cuts, keys = self.cuts[first : last + 1], self.keys[first:last]
+        # per (excursion, replica): the survivor's depth change and the deepest vertex
         shift, reach = (f[: count * replicas].reshape(count, replicas) for f in self.folds)
-        keys = self._pattern_keys(cuts)
         order = np.argsort(keys, kind="stable")
         for members in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
             a, b = int(cuts[members[0]]), int(cuts[members[0] + 1])
             lanes = len(members) * replicas
-            # lane i * replicas + r runs replica r's copy of excursion members[i]
-            at = self.offsets[: (b - a) * lanes].reshape(b - a, len(members), replicas)
-            grid = np.add.outer(np.arange(b - a), cuts[members] - cuts[0])
-            np.take(columns, grid, axis=0, out=at, mode="clip")
-            at = at.reshape(b - a, lanes)
-            at *= lanes
-            at += self.lane_ids[:lanes]
-            walk = self.lane_state[: max(self.s_values[a : b + 1]) * lanes].reshape(-1, lanes)
-            walk[0] = 0
-            depths = self.parent_depths[: (b - a) // 2 * lanes].reshape(-1, lanes)
-            _steps(walk, self.flags[a:b], self.s_values[a:b], at, depths)
-            shift[members] = walk[0].reshape(-1, replicas)
-            reach[members] = (depths.max(axis=0) + _ONE).reshape(-1, replicas)
+            starts = cuts[members] - cuts[0]
+            table = self._table(int(keys[members[0]]), a, b, lanes)
+            steps = np.arange(b - a) if table is None else table[1]
+            # row t, lane i * replicas + r: replica r's index at step steps[t] of members[i]
+            rows = self.offsets[: len(steps) * lanes].reshape(len(steps), len(members), replicas)
+            np.take(columns, np.add.outer(steps, starts), axis=0, out=rows, mode="clip")
+            rows = rows.reshape(len(steps), lanes)
+            if table is None:
+                for out, lane in zip((shift, reach), self._simulate(a, b, rows)):
+                    out[members] = lane.reshape(-1, replicas)
+                continue
+            # a lane's combination number: its index at step t times the
+            # product of the option counts before t, summed over the steps
+            outcomes, _, radices = table
+            code = rows[0]  # radix 1
+            for row, radix in zip(rows[1:], radices[1:]):
+                row *= radix
+                code += row
+            for out, values in zip((shift, reach), outcomes):
+                if len(members) == count:  # members is 0..count-1
+                    values.take(code, None, out.reshape(-1), "clip")
+                else:
+                    out[members] = values[code].reshape(-1, replicas)
         # excursion i starts at the root's depth plus the shifts before it
         reach -= shift
         np.cumsum(shift, axis=0, dtype=np.int32, out=shift)
@@ -243,21 +253,50 @@ class _Batch:
         np.maximum(self.height, reach.max(axis=0) + root, out=self.height)
         root += shift[-1]
 
-    def _pattern_keys(self, cuts: np.ndarray) -> np.ndarray:
-        """One key per excursion between consecutive times of cuts; equal keys
-        mean equal steps.  An excursion of at most ``_PATTERN_BITS`` steps is
-        keyed by its attach flags packed below a sentinel bit at its length,
-        which is exact; a longer one gets a key of its own."""
-        lengths = np.diff(cuts)
-        span = np.arange(cuts[0], cuts[-1])
-        # shifts stop at the sentinel's bit; the keys they spoil are replaced
-        offset = np.minimum(span - np.repeat(cuts[:-1], lengths), _PATTERN_BITS)
-        bits = self.steps_up[cuts[0] : cuts[-1]].astype(np.uint64) << offset.astype(np.uint64)
-        sentinel = np.uint64(1) << np.minimum(lengths, _PATTERN_BITS).astype(np.uint64)
-        keys = np.add.reduceat(bits, cuts[:-1] - cuts[0]) | sentinel
-        long = lengths > _PATTERN_BITS
-        keys[long] = np.uint64(1 << 63) + np.flatnonzero(long).astype(np.uint64)
-        return keys
+    def _table(self, key: int, a: int, b: int, lanes: int) -> tuple | None:
+        """The table of the excursion pattern of steps a..b-1: (the outcomes
+        per index combination, the steps with more than one option, their
+        radices).  The first call with more lanes than combinations builds
+        it for the batch; until then there is none."""
+        options = self.sizes[a:b]
+        # a pattern longer than _PATTERN_BITS has over 2^61 combinations
+        if key in self.tables or b - a > _PATTERN_BITS or math.prod(options.tolist()) >= lanes:
+            return self.tables.get(key)
+        radices = np.cumprod(options) // options
+        digits = self.lane_ids[: radices[-1] * options[-1]] // radices[:, None] % options[:, None]
+        shift, reach = self._simulate(a, b, digits)
+        steps = np.flatnonzero(options > 1)
+        self.tables[key] = table = ((shift.copy(), reach), steps, radices[steps])
+        return table
+
+    def _simulate(self, a: int, b: int, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Run the excursion of steps a..b-1 from relative depth 0, lane j
+        drawing index at[t, j] at step t; return each lane's survivor depth
+        and deepest vertex.  Turns at into flat offsets."""
+        lanes = at.shape[1]
+        at *= lanes
+        at += self.lane_ids[:lanes]
+        walk = self.lane_state[: max(self.s_values[a : b + 1]) * lanes].reshape(-1, lanes)
+        walk[0] = 0
+        depths = self.parent_depths[: (b - a) // 2 * lanes].reshape(-1, lanes)
+        _steps(walk, self.flags[a:b], self.s_values[a:b], at, depths)
+        return walk[0], depths.max(axis=0) + _ONE
+
+
+def _pattern_keys(steps_up: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """One key per excursion between consecutive times of cuts; equal keys
+    mean equal steps.  An excursion of at most ``_PATTERN_BITS`` steps is
+    keyed by its steps up packed below a sentinel bit at its length (pass t
+    packs step t), which is exact; a longer one gets a key of its own."""
+    starts, lengths = cuts[:-1], np.diff(cuts)
+    keys = np.uint64(1) << np.minimum(lengths, _PATTERN_BITS).astype(np.uint64)
+    alive = np.arange(len(lengths))
+    for t in range(min(int(lengths.max(initial=0)), _PATTERN_BITS)):
+        alive = alive[lengths[alive] > t]
+        keys[alive] |= steps_up[starts[alive] + t].astype(np.uint64) << np.uint64(t)
+    long = lengths > _PATTERN_BITS
+    keys[long] = np.uint64(1 << 63) + np.flatnonzero(long).astype(np.uint64)
+    return keys
 
 
 def _steps(state, flags, s_values, offsets, parent_depths) -> int:

@@ -8,14 +8,15 @@ by commutative addition, so a run's output is a pure function of
 and runs each batch through ``forward.forward_heights`` as a ``StreamRange``,
 which draws by one of its two draws.  A batch with freezes (at most 256
 replicas) draws time block by time block (``rng.IndexColumns``, one generator
-per stream) and takes one numpy step per sequence step for the whole batch,
-with the excursions between returns of the walk to 1 run side by side as
-lanes.  A freeze-free batch (one index block: 655 replicas of ``+^100``)
-draws one ``rng.index_block`` and takes one pointer doubling over its parent
-arrays.  ``walk_gap_growth`` draws one index block per batch as well.  A
-batched step has a fixed cost whatever the batch width, so splitting a batch
-over processes saves little; the pool starts only when every worker gets at
-least two batches.
+per stream) and takes one numpy step per sequence step for the whole batch.
+An excursion between returns of the walk to 1 is read from its pattern's
+table when the pattern has fewer index combinations than lanes, and run as
+lanes otherwise, with the same draws.  A freeze-free batch (one index block:
+655 replicas of ``+^100``) draws one ``rng.index_block`` and takes one
+pointer doubling over its parent arrays.  ``walk_gap_growth`` draws one
+index block per batch as well.  A batched step has a fixed cost whatever the
+batch width, so splitting a batch over processes saves little; the pool
+starts only when every worker gets at least two batches.
 """
 
 from __future__ import annotations

@@ -136,7 +136,7 @@ def hovering_walks(draw):
     seq=hovering_walks(),
     seed=st.one_of(st.integers(0, 2**32), st.integers(2**64 - 5, 2**65)),
     start=st.one_of(st.integers(0, 10**6), st.integers(2**32 - 8, 2**32 + 8)),
-    replicas=st.integers(1, 9),
+    replicas=st.integers(1, 40),
     block=st.sampled_from([1, 5, 64, 1 << 16]),
 )
 def test_excursion_lanes_equal_scalar_per_replica(seq, seed, start, replicas, block):
@@ -163,6 +163,73 @@ def assert_excursion_lanes_match(seq, seed, start, stop, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(forward, "INDEX_BLOCK", block)
         assert forward_heights(seq, StreamRange(seed, start, stop)).tolist() == want
+
+
+def spy_groups(mp):
+    """Record each excursion group as (batch, tabled, table built earlier)."""
+    groups = []
+    table = forward._Batch._table
+
+    def spy(batch, key, a, b, lanes):
+        built = key in batch.tables
+        got = table(batch, key, a, b, lanes)
+        groups.append((batch, got is not None, built))
+        return got
+
+    mp.setattr(forward._Batch, "_table", spy)
+    return groups
+
+
+@pytest.mark.parametrize(
+    "text, replicas, tabled",
+    [
+        ("+-", 2, False),  # 1 * 2 = 2 combinations, 2 lanes
+        ("+-", 3, True),
+        ("++--", 12, False),  # 1 * 2 * 3 * 2 = 12 combinations
+        ("++--", 13, True),
+        ("(++--)^2", 6, False),  # 2 excursions x 6 replicas = 12 lanes
+        ("(++--)^2", 7, True),
+        ("(+(+-)^2-)^3", 24, False),  # 1 * 2 * (3 * 2)^2 * 2 = 72 combinations
+        ("(+(+-)^2-)^3", 25, True),
+        ("(+^5-^5)^3", 40, False),  # 6! * 5! = 86400 combinations
+    ],
+)
+def test_excursion_tables_on_each_side_of_the_choice(text, replicas, tabled):
+    with pytest.MonkeyPatch.context() as mp:
+        groups = spy_groups(mp)
+        assert_excursion_lanes_match(parse_sequence(text), 7, 100, 100 + replicas, 1 << 16)
+    assert [g[1] for g in groups] == [tabled]  # one time block, one group
+
+
+def test_one_block_holds_a_table_group_and_a_lane_group():
+    # 4 excursions +- (2 combinations) and 3 of +^4-^4 (5! * 4! = 2880) at
+    # 10 replicas: the first group reads a table, the second runs as lanes
+    with pytest.MonkeyPatch.context() as mp:
+        groups = spy_groups(mp)
+        assert_excursion_lanes_match(parse_sequence("(+-+^4-^4)^3+-"), 3, 0, 10, 1 << 16)
+    assert [g[1] for g in groups] == [True, False]
+    assert groups[0][0] is groups[1][0]
+
+
+@pytest.mark.parametrize("text", ["(+-)^40", "(++--+-)^12+^3-^3"])
+def test_tables_serve_later_blocks_and_each_batch_builds_its_own(text):
+    seq, replicas = parse_sequence(text), 8
+    with pytest.MonkeyPatch.context() as mp:
+        # batches of 3 replicas, each in time blocks of 8 steps
+        shrink_budgets(mp, index_block=24, state_bytes=1 << 20, max_batch=3)
+        groups = spy_groups(mp)
+        per_batch = batch_replicas(seq)
+        got = []
+        for start in range(0, replicas, per_batch):
+            stop = min(start + per_batch, replicas)
+            got += forward_heights(seq, StreamRange(5, start, stop)).tolist()
+    assert got == [forward_height(seq, RngStream(5, i)) for i in range(replicas)]
+    batches = list(dict.fromkeys(g[0] for g in groups))
+    assert len(batches) == 3
+    for batch in batches:
+        tabled = [built for b, hit, built in groups if b is batch and hit]
+        assert len(tabled) > len(batch.tables) > 0
+        assert tabled.count(False) == len(batch.tables)
 
 
 @settings(max_examples=60, deadline=None)
