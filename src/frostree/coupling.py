@@ -312,8 +312,8 @@ def couple_reduce_columns(
     ``[couple_reduce(seq, RngStream(master_seed, i)) for i in range(replicas)]``
     through :func:`couple_reduce_heights`, in batches of
     ``forward.fixed_count_batch(draws)``: 80 draws per replica make batches
-    of 819.  Each batch is a ``StreamRange`` drawn through ``uniform_rows``,
-    so it holds no generator."""
+    of 819.  Each batch is a ``StreamRange`` drawn as one ``index_block``,
+    so it holds no generator past its row."""
     per_batch = forward.fixed_count_batch(len(_reduce_sizes(seq, _reducible_run(seq))))
     height_x: list[int] = []
     height_xhat: list[int] = []

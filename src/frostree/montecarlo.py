@@ -118,21 +118,18 @@ def _moments(histogram: dict[int, int], replicas: int) -> tuple[float, float]:
     return mean, max(var, 0.0)
 
 
-def _replica_heights(
-    seq: ChoiceSequence, master_seed: int, start: int, stop: int
-) -> dict[int, int]:
-    """Height histogram of replicas start..stop-1, batch by batch."""
+def _replica_heights(seq: ChoiceSequence, streams: StreamRange) -> dict[int, int]:
+    """Height histogram of the replicas of streams, batch by batch."""
     counts: dict[int, int] = {}
-    for batch in StreamRange(master_seed, start, stop).batches(batch_replicas(seq)):
+    for batch in streams.batches(batch_replicas(seq)):
         heights, tally = np.unique(forward_heights(seq, batch), return_counts=True)
         for h, c in zip(heights.tolist(), tally.tolist()):
             counts[h] = counts.get(h, 0) + c
     return counts
 
 
-def _worker(args: tuple[str, int, int, int]) -> dict[int, int]:
-    text, master_seed, start, stop = args
-    return _replica_heights(parse_sequence(text), master_seed, start, stop)
+def _worker(text: str, streams: StreamRange) -> dict[int, int]:
+    return _replica_heights(parse_sequence(text), streams)
 
 
 def _worker_count(parallelism: int, batches: int) -> int:
@@ -170,13 +167,13 @@ def run_mc(
     if len(seq) == 0:
         histogram = {0: replicas}
     elif workers == 1:
-        histogram = _replica_heights(seq, master_seed, 0, replicas)
+        histogram = _replica_heights(seq, StreamRange(master_seed, 0, replicas))
     else:
         # whole batches per worker, so the batches match the serial run's
         bounds = [min(replicas, per_batch * (batches * w // workers)) for w in range(workers + 1)]
-        tasks = [(text, master_seed, bounds[w], bounds[w + 1]) for w in range(workers)]
+        tasks = [(text, StreamRange(master_seed, a, b)) for a, b in zip(bounds, bounds[1:])]
         with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_worker, tasks)
+            parts = pool.starmap(_worker, tasks)
         histogram = {}
         for part in parts:
             for h, c in part.items():
@@ -213,14 +210,19 @@ class BennettQuery:
 def bennett_bound(query: BennettQuery) -> float:
     """Upper bound for both tail probabilities P(S > mean + t), P(S < mean - t)
     of a sum S of independent Bernoulli variables with parameter sum mean_sum:
-    exp(-mean_sum * g(t / mean_sum)) with g(u) = (1+u) ln(1+u) - u."""
-    if not 0 < query.mean_sum < math.inf:
+    exp(-mean_sum * g(t / mean_sum)) with g(u) = (1+u) ln(1+u) - u, taken as
+    exp(t - (mean_sum + t)(ln t - ln mean_sum)) where t / mean_sum overflows."""
+    mean_sum, t = query.mean_sum, query.t
+    if not 0 < mean_sum < math.inf:
         raise DomainError("mean_sum must be finite and positive")
-    if not 0 < query.t < math.inf:
+    if not 0 < t < math.inf:
         raise DomainError("t must be finite and positive")
-    u = query.t / query.mean_sum
-    g = (1 + u) * math.log1p(u) - u
-    return math.exp(-query.mean_sum * g)
+    u = t / mean_sum
+    if u == math.inf:
+        exponent = (mean_sum + t) * (math.log(t) - math.log(mean_sum)) - t
+    else:
+        exponent = mean_sum * ((1 + u) * math.log1p(u) - u)
+    return math.exp(-exponent)
 
 
 # --------------------------------------------------------------------------

@@ -17,19 +17,18 @@ drivers is how sampled laws get certified against exact ones.  This module is
 the only place where a uniform float becomes an index.
 
 Stream ``(master_seed, i)`` is numpy's ``SeedSequence(master_seed,
-spawn_key=(i,))`` feeding a PCG64 generator.  A batch of fresh streams is a
-``StreamRange`` and skips the per-replica ``SeedSequence``: a vectorized copy
-of numpy's seeding (O'Neill's ``seed_seq_fe`` with a pool of four words)
-hashes all its keys at once into each stream's four seed words, and each
-stream's PCG64 seeds itself from its words with numpy's own ``srandom``.  A
-StreamRange has two draws.  ``index_block``, for a batch that takes a fixed
-number of uniforms per replica, goes through ``uniform_rows``, which fills
-each row from its stream's generator and drops the generator before seeding
-the next.  ``IndexColumns``, for a batch that draws time block by time block,
-keeps one generator per stream and fills reused buffers.  numpy itself is the
-test oracle, so a numpy release that changed its seeding would fail the tests
-rather than silently change reports.  ``StreamRange.batches`` cuts a run's
-streams into batches.
+spawn_key=(i,))`` feeding a PCG64 generator.  A batch of fresh streams has
+one input form, a ``StreamRange``, checked when it is built, and skips the
+per-replica ``SeedSequence``: a vectorized copy of numpy's seeding (O'Neill's
+``seed_seq_fe``, pool of four words) hashes all its keys at once into each
+stream's four seed words, from which each stream's PCG64 seeds itself with
+numpy's own ``srandom``.  A StreamRange has two draws, one per workload:
+``index_block``, for a fixed number of uniforms per replica, fills each row
+through a generator it drops before seeding the next, so the cyclic garbage
+collector never runs; ``IndexColumns``, for draws time block by time block,
+keeps one generator per stream and reuses its buffers.  numpy itself is the
+test oracle, so a numpy release that changed its seeding would fail the
+tests rather than silently change reports.
 """
 
 from __future__ import annotations
@@ -46,10 +45,9 @@ _FIRST_REFILL = 64  # uniforms in a MonteCarloDriver's first refill; each next o
 _BLOCK = 4096  # uniforms in a MonteCarloDriver's largest refill
 
 
-def _checked_seed(master_seed: int) -> int:
+def _check_seed(master_seed: int) -> None:
     if master_seed < 0:
         raise ValueError(f"master seed must be nonnegative, got {master_seed}")
-    return master_seed & _MASK64
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,7 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        _checked_seed(self.master_seed)
+        _check_seed(self.master_seed)
 
     def generator(self) -> np.random.Generator:
         seed_seq = np.random.SeedSequence(
@@ -148,36 +146,39 @@ class MonteCarloDriver(_ChoiceDriver):
         return _to_indices(self.uniform_block(len(sizes)), sizes)
 
 
-def _check_range(start: int, stop: int) -> None:
-    if not 0 <= start <= stop:
-        raise ValueError(f"need 0 <= start <= stop, got start={start}, stop={stop}")
-
-
 @dataclass(frozen=True)
 class StreamRange:
     """The streams (master_seed, i), start <= i < stop, before their first
     draw: the one input form of every batched kernel.
 
-    A batch that takes a fixed number of uniforms per replica draws them as
-    one ``index_block``; a batch that draws time block by time block goes
-    through ``IndexColumns``.  Neither builds a driver per replica, and both
-    draw exactly what ``MonteCarloDriver(RngStream(master_seed, i))`` would."""
+    Building one checks it, so a bad range fails before any draw: the master
+    seed is nonnegative (as for ``RngStream``, and masked to 64 bits alike)
+    and ``0 <= start <= stop <= 2^64``.  Its draws, ``index_block`` and
+    ``IndexColumns``, build no driver per replica and draw exactly what
+    ``MonteCarloDriver(RngStream(master_seed, i))`` would."""
 
     master_seed: int
     start: int
     stop: int
 
     def __post_init__(self) -> None:
-        _check_range(self.start, self.stop)
+        _check_seed(self.master_seed)
+        start, stop = self.start, self.stop
+        if not 0 <= start <= stop:
+            raise ValueError(f"need 0 <= start <= stop, got start={start}, stop={stop}")
+        if stop > 1 << 64:
+            raise ValueError(f"stream indices must be below 2^64, got stop={stop}")
 
     def __len__(self) -> int:
         return self.stop - self.start
 
     def batches(self, size: int) -> Iterator["StreamRange"]:
-        """These streams cut in order into ranges of size streams (the last
-        may be shorter)."""
-        for first in range(self.start, self.stop, size):
-            yield StreamRange(self.master_seed, first, min(first + size, self.stop))
+        """These streams cut in order into ranges of size >= 1 streams (the
+        last may be shorter); a bad size raises at the call."""
+        if size < 1:
+            raise ValueError(f"batch size must be at least 1, got {size}")
+        starts = range(self.start, self.stop, size)
+        return (StreamRange(self.master_seed, a, min(a + size, self.stop)) for a in starts)
 
 
 def _to_indices(
@@ -204,10 +205,13 @@ def _check_sizes(sizes: np.ndarray) -> None:
 def index_block(streams: StreamRange, sizes: np.ndarray) -> np.ndarray:
     """``(len(streams), len(sizes))`` int64 array whose row r holds
     ``MonteCarloDriver(RngStream(master_seed, start + r)).indices(sizes)``:
-    each row takes its stream's first uniforms from ``uniform_rows``, and one
-    ``floor(u * k)`` map (clamped to ``k - 1``) covers the block."""
+    each row's uniforms come from a generator dropped before the next is
+    built, so the cyclic garbage collector sees no growing set of objects,
+    and one ``floor(u * k)`` map covers the block."""
     _check_sizes(sizes)
-    u = uniform_rows(streams.master_seed, streams.start, streams.stop, len(sizes))
+    u = np.empty((len(streams), len(sizes)))
+    for bit_generator, row in zip(_bit_generators(streams), u):
+        np.random.Generator(bit_generator).random(out=row)
     return _to_indices(u, sizes)
 
 
@@ -222,8 +226,7 @@ class IndexColumns:
     sizes has at most width entries."""
 
     def __init__(self, streams: StreamRange, width: int):
-        bit_generators = _bit_generators(streams.master_seed, streams.start, streams.stop)
-        self._generators = [np.random.Generator(b) for b in bit_generators]
+        self._generators = [np.random.Generator(b) for b in _bit_generators(streams)]
         self._uniforms = np.empty((len(streams), width))
         self._columns = np.empty((width, len(streams)), dtype=np.int64)
 
@@ -335,41 +338,16 @@ def _seed_words() -> type:
     return SeedWords
 
 
-def _range_words(master_seed: int, start: int, stop: int) -> np.ndarray:
-    """``_stream_words`` of the streams (master_seed, i), start <= i < stop,
-    after the checks ``RngStream`` makes (master seeds masked to 64 bits)."""
-    master_seed = _checked_seed(master_seed)
-    _check_range(start, stop)
-    if stop > 1 << 64:
-        raise ValueError(f"stream indices must be below 2^64, got stop={stop}")
-    return _stream_words(master_seed, np.fromiter(range(start, stop), np.uint64, stop - start))
-
-
-def _bit_generators(master_seed: int, start: int, stop: int) -> Iterator[np.random.PCG64]:
-    """The PCG64s of the streams (master_seed, i), start <= i < stop, built
-    one at a time, each in the state ``RngStream(master_seed, i)`` starts in.
-    One ``_stream_words`` hash, checked at the call, seeds them all (about
-    2 us per stream against about 20 us for a ``SeedSequence``)."""
+def _bit_generators(streams: StreamRange) -> Iterator[np.random.PCG64]:
+    """The PCG64s of a StreamRange's streams, built one at a time, each in
+    the state ``RngStream(master_seed, i)`` starts in.  One ``_stream_words``
+    hash seeds them all (about 2 us per stream against about 20 us for a
+    ``SeedSequence``)."""
+    keys = np.fromiter(range(streams.start, streams.stop), np.uint64, len(streams))
     # PCG64 reads the words' memory: each row must be contiguous
-    words = np.ascontiguousarray(_range_words(master_seed, start, stop))
+    words = np.ascontiguousarray(_stream_words(streams.master_seed & _MASK64, keys))
     seed_words = _seed_words()
     return (np.random.PCG64(seed_words(row)) for row in words)
-
-
-def uniform_rows(master_seed: int, start: int, stop: int, count: int) -> np.ndarray:
-    """``(stop - start, count)`` float64 block whose row i - start holds the
-    first count uniforms of ``RngStream(master_seed, i)``, bit for bit.
-
-    Each row's generator fills it and is dropped before the next one is
-    built, so the cyclic garbage collector never sees a growing set of
-    objects."""
-    bit_generators = _bit_generators(master_seed, start, stop)
-    if count < 0:
-        raise ValueError(f"uniform count must be nonnegative, got {count}")
-    out = np.empty((stop - start, count))
-    for bit_generator, row in zip(bit_generators, out):
-        np.random.Generator(bit_generator).random(out=row)
-    return out
 
 
 class ExhaustiveDriver(_ChoiceDriver):

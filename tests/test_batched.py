@@ -92,7 +92,7 @@ def test_batches_merge_to_the_scalar_histogram(seq, seed, start, replicas):
         want[h] = want.get(h, 0) + 1
     with pytest.MonkeyPatch.context() as mp:
         shrink_budgets(mp)
-        assert montecarlo._replica_heights(seq, seed, start, start + replicas) == want
+        assert montecarlo._replica_heights(seq, StreamRange(seed, start, start + replicas)) == want
 
 
 @st.composite

@@ -274,6 +274,25 @@ COUPLE_DIGESTS = {
     ("prop_iii", "enumerate", "csv"): "a0f72a8925c9af72a5f626254c7a1e7dae81db0ce4d30d138a57103f8cf7c59c",
 }
 
+# Batch output bytes at seed 7, each across several batches: 3 freeze-free
+# batches of up to 655; 2 batches whose blocks hold table groups and lane
+# groups at once; 3 reduction-coupling batches of up to 1024.
+BATCH_DIGESTS = {
+    ("simulate", "--seq", "+^100", "--replicas", "1400"):
+        "4e6f8a145af2eda956a88d83c3d9e6dad18ba0be4582b0ed9d2868744c9a3e41",
+    ("simulate", "--seq", "(+-+^2-^2)^30(+^6-^6)^2", "--replicas", "300"):
+        "809aa56e3d4b74c739de94be3a4155a291f4965d58f461b5fb90eb4706c9f231",
+    ("couple", "--which", "reduce", "--seq", "++-+-+--", "--replicas", "2100"):
+        "3e31790efaaf6255e1ddd4d438101ce3a0c567c54cef3076e6ff0e03dbde6c74",
+}
+
+
+@pytest.mark.parametrize("argv", BATCH_DIGESTS)
+def test_batch_output_bytes_are_pinned(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--seed", "7")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == BATCH_DIGESTS[argv]
+
 
 @pytest.mark.parametrize(
     "which, mode, fmt",
@@ -449,6 +468,17 @@ class TestReduceAndBound:
         code, out, _ = run_cli(capsys, "bound", "--mean-sum", "10", "--t", "10")
         obj = json.loads(out)
         assert math.isclose(obj["bound"], math.exp(-10 * (2 * math.log(2) - 1)))
+
+    @pytest.mark.parametrize("mean_sum, t", [("1e-320", "1"), ("1e-300", "1e10")])
+    def test_bound_is_json_where_t_over_mean_sum_overflows(self, capsys, mean_sum, t):
+        code, out, err = run_cli(capsys, "bound", "--mean-sum", mean_sum, "--t", t)
+        assert (code, err) == (0, "")
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        bound = json.loads(out, parse_constant=reject)["bound"]
+        assert 0 <= bound < 1e-300
 
     def test_bound_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--mean-sum", "-1", "--t", "1")

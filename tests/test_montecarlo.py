@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frostree import montecarlo
 from frostree import (
@@ -110,6 +112,21 @@ class TestBennett:
         with pytest.raises(DomainError, match="finite and positive"):
             bennett_bound(BennettQuery(mean_sum, t))
 
+    def test_finite_where_t_over_mean_sum_overflows(self):
+        # u = t / mean_sum is inf; the exponent is (1 + 1e-320) * 736.83 - 1
+        bound = bennett_bound(BennettQuery(1e-320, 1.0))
+        assert math.isclose(bound, math.exp(-735.8272408909739), rel_tol=1e-3)
+        assert 2.7e-320 < bound < 2.8e-320
+        assert bennett_bound(BennettQuery(1e-300, 1e10)) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(1e-320, 1e308, allow_subnormal=True),
+        st.floats(1e-320, 1e308, allow_subnormal=True),
+    )
+    def test_never_nan_and_a_probability(self, mean_sum, t):
+        assert 0 <= bennett_bound(BennettQuery(mean_sum, t)) <= 1
+
     def test_decreasing_in_t(self):
         values = [bennett_bound(BennettQuery(10, t)) for t in (1, 2, 5, 10, 20)]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -198,6 +215,10 @@ class TestWalkGap:
         results = walk_gap_growth([1000, 10_000], 3000, 2)
         ratios = [gap / math.sqrt(math.log(m)) for m, gap in results]
         assert abs(ratios[0] - ratios[1]) / ratios[1] < 0.25
+
+    def test_values_are_pinned(self):
+        # 2500 replicas per size: three index-block batches of up to 1024
+        assert walk_gap_growth([1, 5, 40], 2500, 3) == [(1, 1.0), (5, 1.1476), (40, 1.774)]
 
     def test_requires_increasing_sizes(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frostree import ExhaustiveDriver, MonteCarloDriver, RngStream, law_of
-from frostree.rng import IndexColumns, StreamRange, _stream_words, index_block, uniform_rows
+from frostree.rng import IndexColumns, StreamRange, _stream_words, index_block
 
 # draws taken before indices(): from a fresh buffer, or close enough to the
 # end of the refills doubling from 64 to 2048 (4032 uniforms) that the batch
@@ -120,16 +120,29 @@ def test_stream_words_equal_seed_sequence_states(lane, master_seed):
     assert (_stream_words(master_seed, keys) == want).all()
 
 
+FULL = 2**53  # index(2^53) is the uniform's 53 bits, so equal indices mean equal uniforms
+
+
+def uniform_rows(master_seed, start, stop, count):
+    """index_block's rows at 2^53 options: each stream's first count uniforms, as indices."""
+    return index_block(StreamRange(master_seed, start, stop), np.full(count, FULL, dtype=np.int64))
+
+
+def stream_rows(master_seed, start, stop, count):
+    """The same rows from each stream's own generator."""
+    want = [RngStream(master_seed, i).generator().random(count) for i in range(start, stop)]
+    return (np.array(want).reshape(stop - start, count) * FULL).astype(np.int64)
+
+
 @pytest.mark.parametrize(
     "master_seed, start, count",
     [(0, 0, 1), (2**32 + 7, 2**32 - 5000, 40), (2**64 - 1, 10**6, 101)],
 )
 def test_uniform_rows_equal_stream_draws(master_seed, start, count):
     stop = start + 10**4
-    want = np.array([RngStream(master_seed, i).generator().random(count) for i in range(start, stop)])
     got = uniform_rows(master_seed, start, stop, count)
-    assert got.shape == (10**4, count) and got.dtype == np.float64
-    assert np.array_equal(got, want)
+    assert got.shape == (10**4, count) and got.dtype == np.int64
+    assert np.array_equal(got, stream_rows(master_seed, start, stop, count))
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,15 +176,14 @@ def test_stream_drivers_draw_as_rng_stream_drivers(master_seed, start, replicas,
     stop = start + replicas
     draws = IndexColumns(StreamRange(master_seed, start, stop), max(count, 70))
     want = [MonteCarloDriver(RngStream(master_seed, i)) for i in range(start, stop)]
-    full = 2**53  # index(2^53) is the uniform's 53 bits, so equal indices mean equal uniforms
     for n in (count, 70):
-        got = draws.next(np.full(n, full, dtype=np.int64))
-        assert got.T.tolist() == [[w.index(full) for _ in range(n)] for w in want]
+        got = draws.next(np.full(n, FULL, dtype=np.int64))
+        assert got.T.tolist() == [[w.index(FULL) for _ in range(n)] for w in want]
 
 
 def test_uniform_rows_run_no_cyclic_collection():
-    # each row's generator is dropped before the next is built, so 5000
-    # streams leave the collector no growing set of objects to trace
+    # index_block drops each row's generator before the next is built, so
+    # 5000 streams leave the collector no growing set of objects to trace
     starts = []
 
     def count(phase, info):
@@ -190,24 +202,32 @@ def test_uniform_rows_run_no_cyclic_collection():
 
 
 class TestUniformRowsInput:
+    """What a StreamRange accepts, checked when it is built, and the shapes
+    of the index blocks drawn from it."""
+
     def test_negative_master_seed_raises_as_rng_stream_does(self):
         with pytest.raises(ValueError) as stream:
             RngStream(-3, 0)
-        with pytest.raises(ValueError) as rows:
-            uniform_rows(-3, 0, 2, 4)
-        assert str(rows.value) == str(stream.value)
-        with pytest.raises(ValueError):
-            index_block(StreamRange(-3, 0, 2), np.array([2]))
+        with pytest.raises(ValueError) as streams:
+            StreamRange(-3, 0, 2)
+        assert str(streams.value) == str(stream.value)
 
     def test_master_seed_masked_to_64_bits(self):
-        want = np.array([RngStream(2**64 + 3, i).generator().random(6) for i in range(5)])
+        want = stream_rows(2**64 + 3, 0, 5, 6)
         assert np.array_equal(uniform_rows(2**64 + 3, 0, 5, 6), want)
         assert np.array_equal(uniform_rows(3, 0, 5, 6), want)
 
-    @pytest.mark.parametrize("start, stop, count", [(5, 4, 3), (-1, 2, 3), (0, 2, -1), (0, 2**64 + 1, 1)])
-    def test_bad_ranges_and_counts_rejected(self, start, stop, count):
-        with pytest.raises(ValueError):
-            uniform_rows(0, start, stop, count)
+    @pytest.mark.parametrize(
+        "start, stop, size", [(5, 4, 3), (-1, 2, 3), (0, 2, -1), (0, 2, 0), (0, 2**64 + 1, 1)]
+    )
+    def test_bad_ranges_and_counts_rejected(self, start, stop, size):
+        if size < 1:  # a good range fails at the batches() call, not when iterated
+            streams = StreamRange(0, start, stop)
+            with pytest.raises(ValueError, match="batch size"):
+                streams.batches(size)
+        else:  # a bad range fails when it is built
+            with pytest.raises(ValueError):
+                StreamRange(0, start, stop)
 
     def test_nonpositive_sizes_rejected(self):
         with pytest.raises(ValueError):
@@ -218,21 +238,17 @@ class TestUniformRowsInput:
 
     @pytest.mark.parametrize("start, stop", [(5, 3), (-1, 2)])
     def test_stream_range_rejects_bad_ranges_when_built(self, start, stop):
-        with pytest.raises(ValueError) as rows:
-            uniform_rows(1, start, stop, 3)
-        with pytest.raises(ValueError) as streams:
+        with pytest.raises(ValueError, match=f"start={start}, stop={stop}"):
             StreamRange(1, start, stop)
-        assert str(streams.value) == str(rows.value)
 
     def test_zero_count_and_empty_range(self):
         assert uniform_rows(1, 3, 7, 0).shape == (4, 0)
         assert uniform_rows(1, 3, 3, 5).shape == (0, 5)
         assert uniform_rows(1, 2**64, 2**64, 5).shape == (0, 5)
-        assert index_block(StreamRange(1, 3, 7), np.array([], dtype=np.int64)).shape == (4, 0)
+        assert list(StreamRange(1, 3, 3).batches(4)) == []
 
     def test_keys_of_two_words(self):
         start, stop = 2**32 - 2, 2**32 + 2
-        want = np.array([RngStream(7, i).generator().random(5) for i in range(start, stop)])
-        assert np.array_equal(uniform_rows(7, start, stop, 5), want)
-        last = RngStream(7, 2**64 - 1).generator().random(3)
-        assert np.array_equal(uniform_rows(7, 2**64 - 1, 2**64, 3)[0], last)
+        assert np.array_equal(uniform_rows(7, start, stop, 5), stream_rows(7, start, stop, 5))
+        last = stream_rows(7, 2**64 - 1, 2**64, 3)
+        assert np.array_equal(uniform_rows(7, 2**64 - 1, 2**64, 3), last)
