@@ -15,6 +15,8 @@ batch draws one ``rng.index_block``; a batch with freezes draws in time blocks
 (``rng.IndexColumns``), from generators seeded once per stream, into buffers
 that every block reuses.  ``fixed_count_batch`` sizes every batch that draws
 one index block, here and in the reduction coupling and ``walk_gap_growth``.
+Freeze-free depths take one numpy call per vertex when a batch has as many
+trees as edges or more, else pointer doubling (``depths_from_parents``).
 
 Where the walk is back at 1 the tree regrows from a lone active vertex, so
 the steps up to the next such time (an excursion) act on a replica only
@@ -328,10 +330,24 @@ def depths_from_parents(parents: np.ndarray) -> np.ndarray:
     """Depths of the n + 1 vertices of each of R trees, from the (R, n) array
     whose entry [r, v - 1] is the parent of vertex v in tree r.
 
-    Ancestor pointer doubling over flat offsets: ``anc`` jumps to the
-    ancestor 2^t levels up (or the root), ``dist`` counts the levels jumped,
-    and the loop ends when every jump lands on a root."""
+    With n <= R, a column pass: parents come before children, so vertex v's
+    depths in all trees are one take from a time-major (n + 1, R) array, at
+    flat offsets parent * R + r, plus one: n calls over R entries.  A
+    narrower batch would make many small calls, so it takes pointer
+    doubling, about 4 log2(height) calls over n * R entries: ``anc`` jumps
+    to the ancestor 2^t levels up (or the root), ``dist`` counts the levels
+    jumped, and the loop ends when every jump lands on a root."""
     trees, n = parents.shape
+    if n <= trees:
+        depths = np.zeros((n + 1, trees), dtype=np.int64)
+        at = np.multiply(parents.T, trees, out=np.empty((n, trees), dtype=np.intp))
+        at += np.arange(trees)
+        flat, parent = depths.reshape(-1), np.empty(trees, dtype=np.int64)
+        for row, offsets in zip(depths[1:], at):
+            # take into its own buffer: an out overlapping flat copies flat
+            flat.take(offsets, None, parent, "clip")
+            np.add(parent, _ONE, row)
+        return depths.T
     width = n + 1
     anc = np.empty((trees, width), dtype=np.intp)
     anc[:, 0] = 0

@@ -12,10 +12,11 @@ per stream) and takes one numpy step per sequence step for the whole batch.
 An excursion between returns of the walk to 1 is read from its pattern's
 table when the pattern has fewer index combinations than lanes, and run as
 lanes otherwise, with the same draws.  A freeze-free batch (one index block:
-655 replicas of ``+^100``) draws one ``rng.index_block`` and takes one
-pointer doubling over its parent arrays.  ``walk_gap_growth`` draws one
-index block per batch as well.  A batched step has a fixed cost whatever the
-batch width, so splitting a batch over processes saves little; the pool
+655 replicas of ``+^100``) draws one ``rng.index_block``, and its depths take
+one numpy call per vertex when it has as many trees as edges or more, else
+pointer doubling, fewer and larger calls (``forward.depths_from_parents``).
+``walk_gap_growth`` does the same.  A batched step has a fixed cost whatever
+the batch width, so splitting a batch over processes saves little; the pool
 starts only when every worker gets at least two batches.
 """
 
@@ -25,7 +26,7 @@ import json
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -62,12 +63,8 @@ class SimulationReport:
         assert math.isclose(var, self.variance, rel_tol=1e-9, abs_tol=1e-12)
 
     def to_json_obj(self) -> dict:
-        threshold = None
-        if self.threshold_stats is not None:
-            threshold = {
-                "threshold": self.threshold_stats.threshold,
-                "fraction_at_or_above": self.threshold_stats.fraction_at_or_above,
-            }
+        stats = self.threshold_stats
+        threshold = None if stats is None else asdict(stats)
         return {
             "sequence": self.sequence_text,
             "replicas": self.replicas,
@@ -149,10 +146,11 @@ def run_mc(
     """Monte Carlo height histogram of the forward construction.
 
     Bit-identical output for fixed (seq, replicas, master_seed) regardless of
-    parallelism.  Freeze-free sequences take a pointer-doubling path that
-    consumes streams identically to the general one.  With parallelism > 1 a
-    pool of at most one worker per CPU starts only when each worker gets two
-    batches of ``batch_replicas(seq)`` replicas.
+    parallelism.  Freeze-free sequences draw as the general path does and
+    take a column pass (batches with at least as many replicas as steps) or
+    pointer doubling.  With parallelism > 1 a pool of at most one worker per
+    CPU starts only when each worker gets two batches of
+    ``batch_replicas(seq)`` replicas.
     """
     if replicas < 1:
         raise ValueError("need at least one replica")

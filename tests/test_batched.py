@@ -25,7 +25,7 @@ from frostree import (
 )
 from frostree import coupling, forward, montecarlo
 from frostree.coupling import couple_reduce_columns, couple_reduce_heights
-from frostree.forward import batch_replicas, forward_heights
+from frostree.forward import batch_replicas, depths_from_parents, fixed_count_batch, forward_heights
 from frostree.rng import IndexColumns, StreamRange, index_block, pair_second
 
 
@@ -363,6 +363,38 @@ def test_freeze_free_batch_is_one_index_block(n):
     per_batch = batch_replicas(attach_run(n))
     assert 1 <= per_batch <= forward.MAX_BATCH
     assert per_batch == 1 or per_batch * n <= forward.INDEX_BLOCK
+
+
+@st.composite
+def parent_arrays(draw):
+    """(trees, n) parent arrays, entry [r, v - 1] in [0, v); the ranges hold
+    n < trees, n == trees and n > trees."""
+    trees, n = draw(st.integers(1, 40)), draw(st.integers(0, 40))
+    rows = [[draw(st.integers(0, v - 1)) for v in range(1, n + 1)] for _ in range(trees)]
+    return np.array(rows, dtype=np.int64).reshape(trees, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parent_arrays())
+def test_depths_from_parents_equal_a_per_tree_loop(parents):
+    trees, n = parents.shape
+    expected = np.zeros((trees, n + 1), dtype=np.int64)
+    for d, row in zip(expected, parents.tolist()):
+        for v, parent in enumerate(row, start=1):
+            d[v] = d[parent] + 1
+    depths = depths_from_parents(parents)
+    assert depths.shape == (trees, n + 1) and depths.dtype == np.int64
+    assert np.array_equal(depths, expected)
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257])
+def test_freeze_free_batches_on_each_side_of_the_column_pass(n):
+    # a batch of +^256 holds 256 trees (a column pass), one of +^257 holds
+    # 255 (pointer doubling)
+    seq, replicas = attach_run(n), fixed_count_batch(n)
+    assert (replicas >= n) == (n <= 256)
+    heights = forward_heights(seq, StreamRange(11, 0, replicas))
+    assert heights.tolist() == [forward_height(seq, RngStream(11, i)) for i in range(replicas)]
 
 
 # --------------------------------------------------------------------------

@@ -280,6 +280,9 @@ COUPLE_DIGESTS = {
 BATCH_DIGESTS = {
     ("simulate", "--seq", "+^100", "--replicas", "1400"):
         "4e6f8a145af2eda956a88d83c3d9e6dad18ba0be4582b0ed9d2868744c9a3e41",
+    # batches of 256, 256 and 88: two column passes, then pointer doubling
+    ("simulate", "--seq", "+^256", "--replicas", "600"):
+        "83f86b81487bd5c8319212b4b82aa67799cad84ed57f2c7d4027003413abd67a",
     ("simulate", "--seq", "(+-+^2-^2)^30(+^6-^6)^2", "--replicas", "300"):
         "809aa56e3d4b74c739de94be3a4155a291f4965d58f461b5fb90eb4706c9f231",
     ("couple", "--which", "reduce", "--seq", "++-+-+--", "--replicas", "2100"):
