@@ -11,15 +11,14 @@ from frostree import (
     build_reverse,
     classify,
     parse_sequence,
-    walk_profile,
 )
 
 print("=== sequence DSL ===")
 for text in ["+^3", "(+-)^2", "+^2-^1(-+)+^1"]:
     seq = parse_sequence(text)
-    profile = walk_profile(seq)
-    print(f"{text:>16} -> {''.join(s.char for s in seq)}   "
-          f"actives after each step: {profile.s_values}")
+    steps = "".join("+" if attach else "-" for attach in seq.flags.tolist())
+    print(f"{text:>16} -> {steps}   "
+          f"actives after each step: {seq.walk.s_values.tolist()}")
 
 print()
 print("=== membership in the n-attachment family ===")

@@ -10,7 +10,6 @@ import math
 from frostree import (
     BennettQuery,
     ChoiceSequence,
-    Step,
     alternating,
     attach_run,
     bennett_bound,
@@ -27,7 +26,7 @@ members = {
     "no freezing      (+^n)": attach_run(N),
     "alternating      ((+-)^n)": alternating(N),
     "freeze-out split (+^h -^h-1 +^h)": attach_run(half)
-    + ChoiceSequence((Step.FREEZE,) * (half - 1))
+    + ChoiceSequence.from_signs([-1] * (half - 1))
     + attach_run(half),
 }
 for name, seq in members.items():

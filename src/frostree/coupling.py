@@ -44,7 +44,7 @@ import numpy as np
 from . import forward
 from .errors import NotReducible, TargetUnreachable
 from .rng import Driver, RngStream, StreamRange, _as_driver, index_block, pair_second
-from .sequences import ChoiceSequence, Step, quoted, require_valid
+from .sequences import ChoiceSequence, quoted, require_valid
 
 
 class FreezeCase(Enum):
@@ -71,8 +71,9 @@ class ReducedSequence:
 
 
 def _leading_attach_run(seq: ChoiceSequence) -> int:
-    flags = seq.attach_flags()
-    return flags.index(False) if False in flags else len(flags)
+    # a byte search: couple_reduce pays for this per sample, and a numpy call costs 10x more
+    first_freeze = seq.flags.tobytes().find(0)
+    return len(seq) if first_freeze < 0 else first_freeze
 
 
 def _reducible_run(seq: ChoiceSequence) -> int:
@@ -90,7 +91,7 @@ def reduce_once(seq: ChoiceSequence) -> ReducedSequence:
     """Drop the last step of the leading attach run and the freeze after it."""
     require_valid(seq)  # invalid input fails as invalid before it fails as irreducible
     k = _reducible_run(seq)
-    reduced = ChoiceSequence(seq.steps[: k - 1] + seq.steps[k + 1 :])
+    reduced = ChoiceSequence(np.delete(seq.flags, [k - 1, k]))
     return ReducedSequence(original=seq, reduced=reduced, removed_at=k)
 
 
@@ -108,27 +109,21 @@ def reduce_to_prefix(seq: ChoiceSequence, r: int) -> ChoiceSequence:
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    flags = seq.attach_flags()
-    run = _leading_attach_run(seq)
-    if run >= r:
+    if _leading_attach_run(seq) >= r:
         return seq
     require_valid(seq)  # invalid input fails as invalid before it fails as unreachable
-    # The current sequence is a leading run of `run` attaches followed by
-    # seq.steps[at:], so each reduction moves an index instead of copying steps.
-    # A target above max - 1 is unreachable (see above) and fails at once.
-    at = run
-    reachable = r <= seq.walk.max_value - 1
-    while reachable and 0 < run < r and at < len(flags):
-        run -= 1  # drop the run's last attach and the freeze after it
-        at += 1
-        while at < len(flags) and flags[at]:
-            run += 1
-            at += 1
-    if run < r:
+    # After i reductions, each dropping an attach and a freeze, the sequence is
+    # ends[i] - 2i attaches and then seq.flags[ends[i]:], ends[i] being freeze
+    # i or the end.  A target above max - 1 is unreachable and fails at i = 0.
+    ends = np.append(np.flatnonzero(~seq.flags), len(seq))
+    runs = ends - 2 * np.arange(len(ends))
+    stop = (runs <= 0) | (runs >= r) | (ends == len(seq))
+    i = int(np.argmax(stop)) if r <= seq.walk.max_value - 1 else 0
+    if runs[i] < r:
         raise TargetUnreachable(
             f"cannot reach a leading attach run of {r} from {quoted(seq)}"
         )
-    return ChoiceSequence((Step.ATTACH,) * run + seq.steps[at:])
+    return ChoiceSequence(np.concatenate((np.ones(runs[i], dtype=bool), seq.flags[ends[i] :])))
 
 
 # --------------------------------------------------------------------------
@@ -139,19 +134,12 @@ def _reduce_sizes(seq: ChoiceSequence, k: int) -> np.ndarray:
     """Option counts of the joint run's draws in order: (n, n - 1) for each
     distinct pair drawn from a forest of n trees.
 
-    The forest sizes follow from the sequence alone: the shared suffix grows
-    the forest by one tree per freeze and shrinks it by one per graft, the
-    spare adds one tree, and each of the k pairs after it removes one."""
-    n = seq.walk.final
-    forests = []
-    for attach in reversed(seq.attach_flags()[k + 1 :]):
-        if not attach:
-            n += 1
-        else:
-            forests.append(n)
-            n -= 1
-    forests.extend(range(n + 1, n + 1 - k, -1))
-    sizes = np.repeat(np.array(forests, dtype=np.int64), 2)
+    The forest sizes follow from the walk: the shared suffix's graft for the
+    attach step i reaches a forest of s_i trees, and after the suffix the
+    spare joins s_{k+1} trees, each of the k pairs after it removing one."""
+    s = seq.walk.s_values
+    suffix = s[k + 2 :][seq.flags[k + 1 :]][::-1]
+    sizes = np.repeat(np.concatenate((suffix, s[k + 1] + 1 - np.arange(k))), 2)
     sizes[1::2] -= 1
     return sizes
 
@@ -190,7 +178,7 @@ def couple_reduce(
     pairs = ((a, pair_second(a, r)) for a, r in zip(drawn[::2], drawn[1::2]))
 
     forest = [0] * seq.walk.final
-    for attach in reversed(seq.attach_flags()[k + 1 :]):
+    for attach in seq.flags[k + 1 :][::-1].tolist():
         if not attach:
             forest.append(0)
         else:
@@ -283,7 +271,7 @@ def couple_reduce_heights(
 
     forest = np.zeros((replicas, seq.walk.final), dtype=np.int64)
     j = 0
-    for attach in reversed(seq.attach_flags()[k + 1 :]):
+    for attach in seq.flags[k + 1 :][::-1].tolist():
         if not attach:
             forest = np.hstack((forest, singleton))
         else:

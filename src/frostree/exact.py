@@ -157,7 +157,7 @@ def _fits_int64(seq: ChoiceSequence) -> bool:
     width, hb = _packing(seq)
     return (
         hb + width * (seq.attach_count + 1) <= INT64_KEY_BITS
-        and math.prod(seq.walk.s_values[:-1]) < 1 << 63
+        and math.prod(seq.sizes.tolist()) < 1 << 63
     )
 
 
@@ -182,7 +182,7 @@ def _forward_arrays(seq: ChoiceSequence, state_cap: int) -> HeightDistribution:
     units = np.left_shift(np.ones(1, dtype=dtype), shifts)
     keys, weights = units[:1], np.ones(1, dtype=dtype)
     depths = 1  # depths 0..depths-1 may hold active vertices
-    for j, attach in enumerate(seq.attach_flags(), start=1):
+    for j, attach in enumerate(seq.flags.tolist(), start=1):
         moves = units[1 : depths + 1] if attach else -units[:depths]
         rows = max(1, ARRAY_STEP_ENTRIES // depths)
         next_keys = next_weights = np.zeros(0, dtype=dtype)
@@ -212,7 +212,7 @@ def _forward_arrays(seq: ChoiceSequence, state_cap: int) -> HeightDistribution:
         depths += attach
     totals = np.zeros(seq.attach_count + 1, dtype=dtype)
     np.add.at(totals, (keys & hmask).astype(np.int64, copy=False), weights)
-    denominator = math.prod(seq.walk.s_values[:-1])
+    denominator = math.prod(seq.sizes.tolist())
     return HeightDistribution.from_exact(
         {h: Fraction(w, denominator) for h, w in enumerate(totals.tolist()) if w}
     )
@@ -272,9 +272,9 @@ def exact_height_distribution_reverse(
     s = seq.walk.final  # trees in the forest before the next reverse step
     states: dict[tuple[int, ...], int] = {(0,) * s: 1}
     denominator = 1
-    for i in range(len(seq) - 1, -1, -1):
+    for i, attach in zip(range(len(seq) - 1, -1, -1), reversed(seq.flags.tolist())):
         next_states: dict[tuple[int, ...], int] = {}
-        if not seq.attach_flags()[i]:
+        if not attach:
             for heights, weight in states.items():
                 key = (0,) + heights  # keys are sorted and heights nonnegative
                 next_states[key] = next_states.get(key, 0) + weight

@@ -59,7 +59,7 @@ def build_forward(seq: ChoiceSequence, rng: RngStream | Driver) -> TreeArena:
     active = [0]  # vertex indices; swap-remove keeps freeze O(1)
     height = 0
 
-    for j, attach in enumerate(seq.attach_flags(), start=1):
+    for j, attach in enumerate(seq.flags.tolist(), start=1):
         i = driver.index(len(active))
         if attach:
             v = active[i]
@@ -93,7 +93,7 @@ def forward_height(seq: ChoiceSequence, rng: RngStream | Driver) -> int:
     driver = _as_driver(rng)
     depths = [0]
     height = 0
-    for is_attach, i in zip(seq.attach_flags(), driver.indices(seq.sizes).tolist()):
+    for is_attach, i in zip(seq.flags.tolist(), driver.indices(seq.sizes).tolist()):
         if is_attach:
             d = depths[i] + 1
             depths.append(d)
@@ -183,7 +183,7 @@ class _Batch:
     replicas lanes, and k * L <= block."""
 
     def __init__(self, seq: ChoiceSequence, replicas: int, block: int):
-        self.flags, self.s_values, self.sizes = seq.attach_flags(), seq.walk.s_values, seq.sizes
+        self.flags, self.s_values, self.sizes = seq.flags, seq.walk.s_values, seq.sizes
         self.cuts = np.flatnonzero(self.sizes == 1)
         if seq.walk.final == 1:
             self.cuts = np.append(self.cuts, len(seq))
@@ -278,7 +278,7 @@ class _Batch:
         lanes = at.shape[1]
         at *= lanes
         at += self.lane_ids[:lanes]
-        walk = self.lane_state[: max(self.s_values[a : b + 1]) * lanes].reshape(-1, lanes)
+        walk = self.lane_state[: int(self.s_values[a : b + 1].max()) * lanes].reshape(-1, lanes)
         walk[0] = 0
         depths = self.parent_depths[: (b - a) // 2 * lanes].reshape(-1, lanes)
         _steps(walk, self.flags[a:b], self.s_values[a:b], at, depths)
@@ -305,10 +305,11 @@ def _steps(state, flags, s_values, offsets, parent_depths) -> int:
     """Run steps on state (positions x lanes), one row of offsets per step:
     entry (index * lanes + lane) is the flat offset of the lane's drawn
     active vertex.  Writes each attach's parent depths into a row of
-    parent_depths; returns the number of attaches."""
+    parent_depths; returns the number of attaches.  Reads the flags and
+    s_values slices as lists: iterating an array boxes each entry."""
     flat = state.reshape(-1)
     attaches = 0
-    for is_attach, s, at in zip(flags, s_values, offsets):
+    for is_attach, s, at in zip(flags.tolist(), s_values.tolist(), offsets):
         if is_attach:
             # the new vertex takes position s; mode "clip" (indices are in
             # range) lets take write to out without a buffer copy
@@ -408,8 +409,4 @@ def uniform_active_depth_law(seq: ChoiceSequence) -> list[Fraction]:
         raise InvalidSequence(
             f"{quoted(seq)} ends fully frozen: no active vertex to sample"
         )
-    return [
-        Fraction(1, profile.s_values[i])
-        for i, attach in enumerate(seq.attach_flags(), start=1)
-        if attach
-    ]
+    return [Fraction(1, s) for s in profile.s_values[1:][seq.flags].tolist()]

@@ -120,8 +120,8 @@ def build_reverse(seq: ChoiceSequence, rng: RngStream | Driver) -> TreeArena:
     forest = Forest()
     for _ in range(seq.walk.final):
         forest.add_singleton(Status.ACTIVE, birth_step=m)
-    for i in range(m, 0, -1):
-        if not seq.attach_flags()[i - 1]:
+    for i, attach in zip(range(m, 0, -1), reversed(seq.flags.tolist())):
+        if not attach:
             forest.add_singleton(Status.FROZEN, birth_step=i)
         else:
             a, b = driver.distinct_pair(forest.tree_count)

@@ -6,20 +6,20 @@ step; it counts the active vertices of the tree being built.  A sequence is
 *valid* when the walk stays positive strictly before the last step (the walk
 may reach 0 exactly at the end, meaning every vertex ends up frozen).
 
-The walk is computed once per sequence object and cached on it; every
-validity check and every sampling kernel reads that cached walk.
+A sequence stores one read-only numpy bool array, ``flags`` (True = attach).
+Everything else derives from it: the walk, a cumulative sum computed once per
+sequence object; ``sizes``, a view of the walk; and ``steps``, its ``Step``
+spelling.  Every validity check and every sampling kernel reads these.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, repeat
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,62 +37,82 @@ class Step(Enum):
     def sign(self) -> int:
         return self.value
 
-    @property
-    def char(self) -> str:
-        return "+" if self is Step.ATTACH else "-"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiceSequence:
-    """Immutable list of attach/freeze steps."""
+    """Immutable list of attach/freeze steps: a read-only 1-D bool array.
 
-    steps: tuple[Step, ...]
+    The constructor takes any 1-D bool array-like (an empty one is the empty
+    sequence) and copies it unless it is already read-only; other input, a
+    tuple of ``Step`` members included, raises TypeError."""
+
+    flags: np.ndarray
+
+    def __post_init__(self) -> None:
+        flags = np.asarray(self.flags)
+        if flags.ndim != 1 or (flags.dtype != bool and flags.size):
+            raise TypeError(f"steps must be a 1-D bool array, not {flags.dtype} {flags.shape}")
+        if flags.flags.writeable or flags.dtype != bool:
+            flags = flags.astype(bool)
+            flags.flags.writeable = False
+        object.__setattr__(self, "flags", flags)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ChoiceSequence):
+            return NotImplemented
+        return np.array_equal(self.flags, other.flags)
+
+    def __hash__(self) -> int:
+        return hash(self.flags.tobytes())
+
+    def __reduce__(self):  # a pickled or copied array is writeable: rebuild through the check
+        return ChoiceSequence, (self.flags,)
 
     def __len__(self) -> int:
-        return len(self.steps)
-
-    def __iter__(self) -> Iterator[Step]:
-        return iter(self.steps)
+        return len(self.flags)
 
     def __add__(self, other: "ChoiceSequence") -> "ChoiceSequence":
-        return ChoiceSequence(self.steps + other.steps)
+        return ChoiceSequence(np.concatenate((self.flags, other.flags)))
+
+    @property
+    def steps(self) -> tuple[Step, ...]:
+        return tuple(map((Step.FREEZE, Step.ATTACH).__getitem__, self.flags.tolist()))
 
     @cached_property
     def attach_count(self) -> int:
-        return sum(self._flags)
+        return int(np.count_nonzero(self.flags))
 
     @property
     def freeze_count(self) -> int:
-        return len(self.steps) - self.attach_count
+        return len(self) - self.attach_count
 
-    def signs(self) -> list[int]:
-        return [s.sign for s in self.steps]
-
-    def attach_flags(self) -> tuple[bool, ...]:
-        """Per-step booleans (True = attach); the hot-loop representation."""
-        return self._flags
-
-    @cached_property
-    def _flags(self) -> tuple[bool, ...]:
-        return tuple(map(operator.is_, self.steps, repeat(Step.ATTACH)))
+    def attach_flags(self) -> np.ndarray:
+        """The flags array (True = attach)."""
+        return self.flags
 
     @cached_property
     def walk(self) -> "WalkProfile":
         """Active-vertex counts s_0..s_m, computed once per sequence object."""
-        values = tuple(accumulate(map((-1, 1).__getitem__, self._flags), initial=1))
-        tau: int | float = values.index(0) if 0 in values else math.inf
-        return WalkProfile(values, tau)
+        values = np.ones(len(self) + 1, dtype=np.int64)
+        np.cumsum(2 * self.flags.view(np.int8) - 1, dtype=np.int64, out=values[1:])
+        values[1:] += 1
+        values.flags.writeable = False
+        first = int(np.argmax(values == 0))  # 0 when there is no zero: values[0] == 1
+        return WalkProfile(values, first or math.inf)
 
-    @cached_property
+    @property
     def sizes(self) -> np.ndarray:
         """Option counts s_0..s_{m-1} of the steps' uniform choices (read-only)."""
-        sizes = np.array(self.walk.s_values[:-1], dtype=np.int64)
-        sizes.flags.writeable = False
-        return sizes
+        return self.walk.s_values[:-1]
 
     @staticmethod
-    def from_signs(signs: Iterable[int]) -> "ChoiceSequence":
-        return ChoiceSequence(tuple(Step(int(s)) for s in signs))
+    def from_signs(signs: Sequence[int] | np.ndarray) -> "ChoiceSequence":
+        """The sequence of +1 (attach) and -1 (freeze) signs; ValueError otherwise."""
+        signs = np.asarray(signs)
+        flags = signs == 1
+        if not np.all(flags | (signs == -1)):
+            raise ValueError("signs must be +1 or -1")
+        return ChoiceSequence(flags)
 
     @property
     def text(self) -> str:
@@ -104,12 +124,12 @@ class ChoiceSequence:
 
 def attach_run(n: int) -> ChoiceSequence:
     """The freeze-free sequence of n attachments (builds the n-edge recursive tree)."""
-    return ChoiceSequence((Step.ATTACH,) * n)
+    return ChoiceSequence(np.ones(n, dtype=bool))
 
 
 def alternating(n: int) -> ChoiceSequence:
     """n repetitions of attach-then-freeze; keeps exactly two vertices active."""
-    return ChoiceSequence((Step.ATTACH, Step.FREEZE) * n)
+    return ChoiceSequence(np.tile((True, False), n))
 
 
 # --------------------------------------------------------------------------
@@ -122,10 +142,11 @@ def parse_sequence(text: str) -> ChoiceSequence:
 
     Raises SequenceSyntaxError (with byte offset) on malformed input,
     including a repetition count of 0 and an expansion past MAX_STEPS steps.
-    Groups nest to any depth: open groups wait on an explicit stack.
+    Groups nest to any depth: open groups wait on an explicit stack.  Steps
+    are bytes (1 = attach), and ``atom * count`` repeats a run in C.
     """
-    out: list[Step] = []  # steps of the innermost open group, or of the text
-    groups: list[tuple[list[Step], int]] = []  # per open group: enclosing steps, '(' offset
+    out = bytearray()  # steps of the innermost open group, or of the text
+    groups: list[tuple[bytearray, int]] = []  # per open group: enclosing steps, '(' offset
     enclosing = 0  # steps held by the enclosing groups, which the cap covers too
     pos = 0
     while True:
@@ -133,7 +154,7 @@ def parse_sequence(text: str) -> ChoiceSequence:
         if pos < len(text) and text[pos] == "(":
             groups.append((out, pos))
             enclosing += len(out)
-            out = []
+            out = bytearray()
             pos += 1
             continue
         if pos >= len(text) or text[pos] == ")":
@@ -147,7 +168,7 @@ def parse_sequence(text: str) -> ChoiceSequence:
             out, term_at = groups.pop()
             enclosing -= len(out)
         elif text[pos] in "+-":
-            atom, term_at = [Step.ATTACH if text[pos] == "+" else Step.FREEZE], pos
+            atom, term_at = (b"\1" if text[pos] == "+" else b"\0"), pos
         else:
             raise SequenceSyntaxError(f"expected '+', '-' or '(', got {text[pos]!r}", pos)
         pos += 1
@@ -169,10 +190,10 @@ def parse_sequence(text: str) -> ChoiceSequence:
             count = int(digits) if len(digits) <= len(str(MAX_STEPS)) else MAX_STEPS + 1
         if enclosing + len(out) + len(atom) * count > MAX_STEPS:
             raise SequenceSyntaxError(f"sequence expands past {MAX_STEPS} steps", count_at)
-        out.extend(atom * count)
+        out += atom * count
     if pos != len(text):
         raise SequenceSyntaxError(f"unexpected character {text[pos]!r}", pos)
-    return ChoiceSequence(tuple(out))
+    return ChoiceSequence(np.frombuffer(bytes(out), dtype=bool))
 
 
 def _skip_ws(text: str, pos: int) -> int:
@@ -191,7 +212,7 @@ def render_sequence(seq: ChoiceSequence) -> str:
     ``parse_sequence(render_sequence(s)) == s`` for every non-empty sequence
     (the empty sequence renders as "", which the grammar does not accept).
     """
-    raw = bytes(seq.attach_flags()).translate(_STEP_CHARS).decode()
+    raw = seq.flags.tobytes().translate(_STEP_CHARS).decode()
     return _RUN.sub(lambda run: f"{run[1]}^{len(run[0])}", raw)
 
 
@@ -212,25 +233,25 @@ def quoted(seq: ChoiceSequence) -> str:
 # Walk and classification
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkProfile:
     """Active-vertex counts along the sequence.
 
-    ``s_values[j]`` is the count after j steps (``s_values[0] == 1``);
-    ``tau`` is the first step index at which the count hits 0, or
-    ``math.inf`` if it never does.
+    ``s_values[j]`` is the count after j steps (``s_values[0] == 1``), a
+    read-only int64 array; ``tau`` is the first step index at which the count
+    hits 0, or ``math.inf`` if it never does.  The other fields are Python ints.
     """
 
-    s_values: tuple[int, ...]
+    s_values: np.ndarray
     tau: int | float
 
     @cached_property
     def max_value(self) -> int:
-        return max(self.s_values)
+        return int(self.s_values.max())
 
-    @property
+    @cached_property
     def final(self) -> int:
-        return self.s_values[-1]
+        return int(self.s_values[-1])
 
     @property
     def valid(self) -> bool:
@@ -239,10 +260,6 @@ class WalkProfile:
         Steps of +-1 from 1 first leave the positives through 0, so this is
         "the first zero, if any, is the final value"."""
         return self.tau >= len(self.s_values) - 1
-
-
-def walk_profile(seq: ChoiceSequence) -> WalkProfile:
-    return seq.walk
 
 
 @dataclass(frozen=True)
@@ -289,18 +306,18 @@ def iter_valid_sequences(length: int) -> Iterator[ChoiceSequence]:
         yield ChoiceSequence(())
         return
 
-    prefix: list[Step] = []
+    prefix: list[bool] = []
 
     def rec(s: int, remaining: int) -> Iterator[ChoiceSequence]:
         if remaining == 0:
-            yield ChoiceSequence(tuple(prefix))
+            yield ChoiceSequence(np.array(prefix))
             return
-        for step in (Step.ATTACH, Step.FREEZE):
-            ns = s + step.sign
+        for attach in (True, False):
+            ns = s + (1 if attach else -1)
             # walk may reach 0 only on the very last step
             if ns <= 0 and remaining > 1:
                 continue
-            prefix.append(step)
+            prefix.append(attach)
             yield from rec(ns, remaining - 1)
             prefix.pop()
 
@@ -320,5 +337,5 @@ def iter_reducible_sequences(max_length: int) -> Iterator[ChoiceSequence]:
     """Valid sequences that start with an attach run followed by a freeze."""
     for m in range(2, max_length + 1):
         for seq in iter_valid_sequences(m):
-            if seq.steps[0] is Step.ATTACH and Step.FREEZE in seq.steps:
+            if seq.flags[0] and not seq.flags.all():
                 yield seq

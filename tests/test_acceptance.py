@@ -12,7 +12,6 @@ from frostree import (
     FreezeCase,
     MonteCarloDriver,
     RngStream,
-    Step,
     alternating,
     attach_run,
     bennett_bound,
@@ -171,7 +170,7 @@ def test_criterion_05_pathwise_coupling():
 
 
 def test_criterion_06_insertion_coupling_marginals():
-    freeze = lambda k: ChoiceSequence((Step.FREEZE,) * k)
+    freeze = lambda k: ChoiceSequence.from_signs([-1] * k)
     for m, n in ((2, 1), (3, 2)):
         law_x: dict[int, Fraction] = {}
         law_xhat: dict[int, Fraction] = {}
@@ -238,7 +237,7 @@ def test_criterion_09_height_floor_fractions():
         "+^10000": attach_run(n),
         "(+-)^10000": alternating(n),
         "split": attach_run(half)
-        + ChoiceSequence((Step.FREEZE,) * (half - 1))
+        + ChoiceSequence.from_signs([-1] * (half - 1))
         + attach_run(half),
     }
     fractions = {}

@@ -24,11 +24,11 @@ from frostree import (
     couple_reduce,
     exact_height_distribution_forward,
     exhaust,
+    iter_reducible_sequences,
     iter_valid_sequences,
     parse_sequence,
     reduce_once,
     reduce_to_prefix,
-    walk_profile,
 )
 from frostree.coupling import render_samples
 from sample_rows import csv_loop
@@ -49,7 +49,7 @@ class CountingGenerator:
 
 
 def freeze_run(k):
-    return ChoiceSequence((Step.FREEZE,) * k)
+    return ChoiceSequence.from_signs([-1] * k)
 
 
 def marginals(fn):
@@ -104,7 +104,7 @@ class TestReduceToPrefix:
         # the reduction chain (+-)^2 -> +- -> (empty) never shows a run of 2,
         # although the walk maximum is 2
         seq = parse_sequence("(+-)^2")
-        assert walk_profile(seq).max_value == 2
+        assert seq.walk.max_value == 2
         with pytest.raises(TargetUnreachable):
             reduce_to_prefix(seq, 2)
 
@@ -128,7 +128,7 @@ class TestReduceToPrefix:
         pairs = 0
         for m in range(0, 13):
             for seq in iter_valid_sequences(m):
-                for r in range(walk_profile(seq).max_value):
+                for r in range(seq.walk.max_value):
                     assert reduce_to_prefix(seq, r) == chain(seq, r), (seq.text, r)
                     pairs += 1
         assert pairs == 10_682  # (sequence, r) pairs over 1977 sequences
@@ -173,7 +173,7 @@ class TestReduceToPrefix:
                 signs.append(sign)
                 s += sign
             seq = ChoiceSequence.from_signs(signs)
-            peak = walk_profile(seq).max_value
+            peak = seq.walk.max_value
             result = reduce_to_prefix(seq, peak - 1)
             assert all(st is Step.ATTACH for st in result.steps[: peak - 1])
             with pytest.raises(TargetUnreachable):
@@ -185,7 +185,7 @@ class TestReduceToPrefix:
         pairs = 0
         for m in range(0, 15):
             for seq in iter_valid_sequences(m):
-                peak = walk_profile(seq).max_value
+                peak = seq.walk.max_value
                 for r in range(peak):
                     result = reduce_to_prefix(seq, r)
                     assert all(st is Step.ATTACH for st in result.steps[:r]), (
@@ -236,6 +236,24 @@ class TestCoupleReduce:
         expected = [float(exact.mass(h)) * n for h in support]
         result = scipy_stats.chisquare(observed, expected)
         assert result.pvalue > 1e-4
+
+    def test_draw_sizes_equal_the_forest_loop(self):
+        # the reference: the forest sizes, step by step through the suffix
+        def loop(seq, k):
+            n, forests = seq.walk.final, []
+            for attach in reversed(seq.flags.tolist()[k + 1 :]):
+                if attach:
+                    forests.append(n)
+                n += -1 if attach else 1
+            forests.extend(range(n + 1, n + 1 - k, -1))
+            return [size for n in forests for size in (n, n - 1)]
+
+        checked = 0
+        for seq in iter_reducible_sequences(11):
+            k = coupling._reducible_run(seq)
+            assert coupling._reduce_sizes(seq, k).tolist() == loop(seq, k), seq.text
+            checked += 1
+        assert checked > 500
 
     def test_fresh_stream_generates_only_the_draws_it_uses(self):
         seq = parse_sequence("+^4-^2+-(+-)^3")

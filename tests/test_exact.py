@@ -46,9 +46,9 @@ def made_valid(wanted):
     for j, attach in enumerate(wanted):
         if not attach and s == 1 and j < len(wanted) - 1:
             attach = True
-        steps.append(Step.ATTACH if attach else Step.FREEZE)
+        steps.append(attach)
         s += 1 if attach else -1
-    return ChoiceSequence(tuple(steps))
+    return ChoiceSequence(steps)
 
 
 @st.composite
@@ -60,12 +60,12 @@ def valid_sequences(draw, min_size, max_size):
 def root_only_mass(seq):
     """P(every attach picks the root): the root must be drawn at each attach
     and must escape every freeze before the last attach."""
-    flags = seq.attach_flags()
+    flags = seq.flags.tolist()
     if not any(flags):
         return Fraction(0)
     last_attach = max(j for j, attach in enumerate(flags) if attach)
     p = Fraction(1)
-    for j, (attach, s) in enumerate(zip(flags, seq.walk.s_values)):
+    for j, (attach, s) in enumerate(zip(flags, seq.walk.s_values.tolist())):
         if attach:
             p *= Fraction(1, s)
         elif j < last_attach:
@@ -78,7 +78,7 @@ def forward_state_peak(seq):
     every tree the prefix can build (a state: sorted active depths, height)."""
     peak = 0
     for j in range(1, len(seq) + 1):
-        prefix = ChoiceSequence(seq.steps[:j])
+        prefix = ChoiceSequence(seq.flags[:j])
 
         def state(driver):
             tree = build_forward(prefix, driver)
@@ -350,7 +350,7 @@ def forward_dict_reference(seq, state_cap):
     units = [1 << hb, 1 << (hb + width)]  # grows by one depth per attach step
     states = {units[0]: 1}
     denominator = 1
-    steps = zip(seq.attach_flags(), seq.walk.s_values)
+    steps = zip(seq.flags.tolist(), seq.walk.s_values.tolist())
     for j, (attach, total) in enumerate(steps, start=1):
         moves = units[1:] if attach else [-u for u in units]
         next_states = {}

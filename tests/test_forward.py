@@ -18,7 +18,6 @@ from frostree import (
     parse_sequence,
     sample_rrt,
     uniform_active_depth_law,
-    walk_profile,
 )
 
 R = RngStream
@@ -77,7 +76,7 @@ class TestBuildForward:
         arena = build_forward(seq, R(seed, 0))
         arena.check_invariants()
         assert forward_height(seq, R(seed, 0)) == arena.height
-        assert arena.active_count() == walk_profile(seq).final
+        assert arena.active_count() == seq.walk.final
 
     def test_dump_round_trip(self):
         arena = build_forward(parse_sequence("+^3-+^2"), R(5, 5))

@@ -15,7 +15,6 @@ from frostree import (
     law_of,
     parse_sequence,
     reverse_law_by_enumeration,
-    walk_profile,
 )
 
 R = RngStream
@@ -91,7 +90,7 @@ class TestBuildReverse:
     @pytest.mark.parametrize("text", ["+", "+-", "+^2-", "+-+-", "+^3", "+^2-^2"])
     def test_label_multiset_matches_walk(self, text):
         seq = parse_sequence(text)
-        profile = walk_profile(seq)
+        profile = seq.walk
         for i in range(8):
             arena = build_reverse(seq, R(11, i))
             arena.check_invariants()

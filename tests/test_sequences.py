@@ -1,6 +1,13 @@
+import copy
 import math
+import os
+import pickle
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +24,8 @@ from frostree import (
     iter_valid_sequences,
     iter_xn_sequences,
     parse_sequence,
+    reduce_once,
     render_sequence,
-    walk_profile,
 )
 
 A, F = Step.ATTACH, Step.FREEZE
@@ -37,7 +44,7 @@ class TestParse:
 
     def test_insertion_example(self):
         # attach run 2, freeze run 1, freeze+attach, attach run 1
-        assert parse_sequence("+^2-^1(-+)+^1").signs() == [1, 1, -1, -1, 1, 1]
+        assert parse_sequence("+^2-^1(-+)+^1") == seq(1, 1, -1, -1, 1, 1)
 
     def test_nested_groups(self):
         assert parse_sequence("((+-)^2)^2").steps == (A, F) * 4
@@ -157,27 +164,115 @@ class TestParse:
 
 class TestWalk:
     def test_no_extinction(self):
-        p = walk_profile(seq(1, 1, -1))
-        assert p.s_values == (1, 2, 3, 2)
+        p = seq(1, 1, -1).walk
+        assert p.s_values.tolist() == [1, 2, 3, 2]
         assert p.tau == math.inf
 
     def test_extinction_at_end(self):
-        p = walk_profile(seq(1, -1, -1))
-        assert p.s_values == (1, 2, 1, 0)
+        p = seq(1, -1, -1).walk
+        assert p.s_values.tolist() == [1, 2, 1, 0]
         assert p.tau == 3
 
     def test_immediate_extinction(self):
-        p = walk_profile(seq(-1))
-        assert p.s_values == (1, 0)
+        p = seq(-1).walk
+        assert p.s_values.tolist() == [1, 0]
         assert p.tau == 1
 
     @given(st.lists(st.sampled_from([1, -1]), max_size=60))
     def test_unit_increments(self, signs):
-        p = walk_profile(ChoiceSequence.from_signs(signs))
+        p = ChoiceSequence.from_signs(signs).walk
         assert p.s_values[0] == 1
         assert all(
             abs(a - b) == 1 for a, b in zip(p.s_values, p.s_values[1:])
         )
+
+
+class TestRepresentation:
+    """A sequence is one read-only bool array; the walk, sizes and steps
+    derive from it."""
+
+    def test_five_builders_make_one_value(self):
+        built = [
+            parse_sequence("+^2-+"),
+            ChoiceSequence.from_signs([1, 1, -1, 1]),
+            attach_run(1) + alternating(1) + attach_run(1),
+            parse_sequence("+^2") + parse_sequence("-+"),
+            reduce_once(parse_sequence("+^3-^2+")).reduced,
+        ]
+        assert all(s == built[0] for s in built)
+        assert len({hash(s) for s in built}) == 1
+        assert {s: i for i, s in enumerate(built)} == {built[0]: 4}
+        assert built[0] != parse_sequence("+^2-") and built[0] != "+^2-+"
+
+    def test_arrays_are_read_only(self):
+        s = parse_sequence("+^3-")
+        for array in (s.flags, s.walk.s_values, s.sizes):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        flags = np.ones(3, dtype=bool)
+        built = ChoiceSequence(flags)  # a writeable input is copied
+        flags[0] = False
+        assert built == attach_run(3)
+        for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+            assert copied == s and not copied.flags.flags.writeable
+
+    @pytest.mark.parametrize("bad", [(F,), (A, F), [1, -1], np.ones((2, 2), dtype=bool), True])
+    def test_constructor_takes_bool_arrays_only(self, bad):
+        with pytest.raises(TypeError):
+            ChoiceSequence(bad)
+
+    def test_empty_input_is_the_empty_sequence(self):
+        assert ChoiceSequence(()) == ChoiceSequence(np.zeros(0, dtype=bool))
+        assert len(ChoiceSequence([])) == 0 and ChoiceSequence(()).text == ""
+
+    @pytest.mark.parametrize("bad", [[0], [1, 2], [-1, 0.5]])
+    def test_from_signs_takes_plus_or_minus_one_only(self, bad):
+        with pytest.raises(ValueError):
+            ChoiceSequence.from_signs(bad)
+
+    def test_steps_round_trip_through_signs(self):
+        s = parse_sequence("+^2(-+)^2-")
+        assert s.steps == (A, A, F, A, F, A, F)
+        assert ChoiceSequence.from_signs([step.sign for step in s.steps]) == s
+
+    def test_walk_scalars_are_python_ints(self):
+        walk = parse_sequence("+^40-^3").walk
+        assert type(walk.max_value) is int and walk.max_value == 41
+        assert type(walk.final) is int and walk.final == 38
+        assert walk.tau == math.inf and parse_sequence("+-^2").walk.tau == 3
+
+
+def peak_rss_mb(code):
+    """Peak RSS in MB of a fresh interpreter that runs code: the child reports
+    its own ru_maxrss (kB on Linux), so no other process counts.  ru_maxrss
+    survives fork and exec, so a child forked from this test process would
+    start at its size: a small launcher process forks the measured one."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    report = "\nimport resource\nprint(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    launcher = "import subprocess, sys; subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)"
+    result = subprocess.run(
+        [sys.executable, "-c", launcher, code + report], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    return int(result.stdout.split()[-1]) / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+class TestMemory:
+    """A 10^7-step sequence is one byte per step plus an int64 walk: no
+    Python object per step."""
+
+    def test_parse_and_walk_of_ten_million_steps(self):
+        code = ("from frostree import parse_sequence\n"
+                "s = parse_sequence('+^9999999')\n"
+                "assert s.walk.final == 10**7 and len(s.sizes) == 9999999")
+        assert peak_rss_mb(code) <= 400
+
+    def test_simulate_ten_million_steps(self):
+        code = ("import contextlib, io\nfrom frostree.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert main(['simulate', '--seq', '+^9999999', '--replicas', '2']) == 0")
+        assert peak_rss_mb(code) <= 1100
 
 
 class TestClassify:
