@@ -138,10 +138,8 @@ def exact_height_distribution_forward(
     whose dtype is chosen from the input alone: int64 when every key fits
     in INT64_KEY_BITS bits (``hb + b * (attach_count + 1) <= 62``) and the
     denominator, which bounds every weight, is below 2**63, and object
-    (Python ints) otherwise.  A step visits its states in ascending packed
-    key order, and one that passes ``state_cap`` raises
-    StateSpaceExceeded: the count is taken after the first source state, in
-    that order, whose transitions pass the cap.
+    (Python ints) otherwise.  A step whose distinct states pass
+    ``state_cap`` raises StateSpaceExceeded naming that step.
     """
     require_valid(seq)
     return _forward_arrays(seq, state_cap)
@@ -165,57 +163,57 @@ def _forward_arrays(seq: ChoiceSequence, state_cap: int) -> HeightDistribution:
     """The forward DP with each step over all states at once on arrays of
     ``_fits_int64``'s dtype: int64, or object when a key or weight is wider.
 
-    ``keys`` and ``weights`` hold the states in ascending packed key order.
+    ``keys`` and ``weights`` hold the states in ascending packed key order,
+    and ``units`` holds one unit per depth that the next attach can reach.
     A step unpacks every digit of every state depth-major with one shift and
-    mask.  The sources ascend, so each depth's moved keys form one ascending
-    run: an attach at depth d adds ``units[d + 1]`` plus 1 where d is the
-    height, which keeps keys non-decreasing, and a freeze subtracts
-    ``units[d]``.  One stable sort (a timsort on int64, which merges
-    presorted runs) merges the runs and one ``add.reduceat`` sums equal keys.
+    mask, and finds the nonzero digits with one scan of that flat array,
+    whose entry ``depth * len(source) + state`` is one state's digit.  The
+    sources ascend, so each depth's moved keys form one ascending run: an
+    attach at depth d adds ``units[d + 1]`` plus 1 where d is the height,
+    which keeps keys non-decreasing, and a freeze subtracts ``units[d]``.
+    One stable sort (a timsort on int64, which merges presorted runs) merges
+    the runs and one ``add.reduceat`` sums equal keys.
     A step whose digit array would pass ARRAY_STEP_ENTRIES runs over slices
-    of the states, each merged with the states the earlier slices made.
+    of the states, each merged with the states the earlier slices made, and
+    the state count is checked against ``state_cap`` after each merge.
     """
     width, hb = _packing(seq)
     hmask, digit = (1 << hb) - 1, (1 << width) - 1
     dtype = np.int64 if _fits_int64(seq) else object
-    shifts = hb + width * np.arange(seq.attach_count + 2, dtype=np.int64)
+    shifts = hb + width * np.arange(2, dtype=np.int64)
     units = np.left_shift(np.ones(1, dtype=dtype), shifts)
     keys, weights = units[:1], np.ones(1, dtype=dtype)
-    depths = 1  # depths 0..depths-1 may hold active vertices
     for j, attach in enumerate(seq.flags.tolist(), start=1):
-        moves = units[1 : depths + 1] if attach else -units[:depths]
-        rows = max(1, ARRAY_STEP_ENTRIES // depths)
+        moves = units[1:] if attach else -units[:-1]  # one per occupiable depth
+        rows = max(1, ARRAY_STEP_ENTRIES // len(moves))
         next_keys = next_weights = np.zeros(0, dtype=dtype)
         for lo in range(0, len(keys), rows):
             source = keys[lo : lo + rows]
-            counts = (source >> shifts[:depths, None]) & digit
-            depth, state = np.nonzero(counts)
-            moved = source[state] + moves[depth]
+            counts = ((source >> shifts[:-1, None]) & digit).ravel()
+            state = counts.nonzero()[0]  # a flat entry until depth is taken off
+            counts = counts[state]
+            depth = state // len(source)  # np.divmod is slower on int64
+            state -= depth * len(source)
+            moved = source[state]
             if attach:
-                moved += depth == (source[state] & hmask)
-            added = weights[lo : lo + rows][state] * counts[depth, state]
+                moved += depth == (moved & hmask)  # reads the source's height
+            moved += moves[depth]
+            added = weights[lo : lo + rows][state] * counts
             moved = np.concatenate((next_keys, moved))
             order = np.argsort(moved, kind="stable")
             moved = moved[order]
             starts = np.flatnonzero(np.concatenate(([True], moved[1:] != moved[:-1])))
             if len(starts) > state_cap:
-                # the count after the first source state that takes it past the
-                # cap; states made by earlier slices have source -1
-                sources = np.concatenate((np.full(len(next_keys), -1), state))
-                least = np.sort(np.minimum.reduceat(sources[order], starts))
-                past = least[max(state_cap, 0)]
-                reached = int(np.searchsorted(least, past, side="right"))
-                raise _state_cap_error("forward", seq, j, reached, state_cap)
+                raise _state_cap_error("forward", seq, j, state_cap)
             next_keys = moved[starts]
             next_weights = np.add.reduceat(np.concatenate((next_weights, added))[order], starts)
         keys, weights = next_keys, next_weights
-        depths += attach
+        if attach:
+            shifts = np.concatenate((shifts, shifts[-1:] + width))
+            units = np.concatenate((units, units[-1:] << width))
     totals = np.zeros(seq.attach_count + 1, dtype=dtype)
     np.add.at(totals, (keys & hmask).astype(np.int64, copy=False), weights)
-    denominator = math.prod(seq.sizes.tolist())
-    return HeightDistribution.from_exact(
-        {h: Fraction(w, denominator) for h, w in enumerate(totals.tolist()) if w}
-    )
+    return _law(enumerate(totals.tolist()), math.prod(seq.sizes.tolist()))
 
 
 def _law(weighted: Iterable[tuple[int, int]], denominator: int) -> HeightDistribution:
@@ -228,14 +226,9 @@ def _law(weighted: Iterable[tuple[int, int]], denominator: int) -> HeightDistrib
     )
 
 
-def _state_cap_error(
-    dp: str, seq: ChoiceSequence, step: int, states: int, cap: int
-) -> StateSpaceExceeded:
+def _state_cap_error(dp: str, seq: ChoiceSequence, step: int, cap: int) -> StateSpaceExceeded:
     """The cap error names the 1-based step whose states passed the cap."""
-    return StateSpaceExceeded(
-        f"{dp} DP reached {states} states at step {step} of {quoted(seq)},"
-        f" above state_cap={cap}"
-    )
+    return StateSpaceExceeded(f"{dp} DP passed state_cap={cap} at step {step} of {quoted(seq)}")
 
 
 def forward_law_by_enumeration(seq: ChoiceSequence) -> HeightDistribution:
@@ -258,11 +251,11 @@ def exact_height_distribution_reverse(
     same multiset of tree heights (slot order cannot influence the law since
     pairs are drawn uniformly over ordered slot pairs).  A state's grafts
     run over distinct (target, donor) height pairs, each weighted by its
-    count of ordered slot pairs, target ascending and then donor ascending:
-    the order in which a loop over slot pairs first meets them, so new states
-    enter in the same order.  Every state of an attach step has the same s
-    trees, so each graft keeps its integer weight and the step multiplies the
-    shared denominator by s(s-1).
+    count of ordered slot pairs.  Every state of an attach step has the same
+    s trees, so each graft keeps its integer weight and the step multiplies
+    the shared denominator by s(s-1).  A step whose distinct states pass
+    ``state_cap`` raises StateSpaceExceeded naming that step; the count is
+    checked after each source state.
     """
     if len(seq) > length_cap:
         raise StateSpaceExceeded(
@@ -293,8 +286,7 @@ def exact_height_distribution_reverse(
                             key = tuple(rest)
                             next_states[key] = next_states.get(key, 0) + weight * pairs
                 if len(next_states) > state_cap:
-                    size = len(next_states)
-                    raise _state_cap_error("reverse", seq, i + 1, size, state_cap)
+                    raise _state_cap_error("reverse", seq, i + 1, state_cap)
             denominator *= s * (s - 1)
             s -= 1
         states = next_states

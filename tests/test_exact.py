@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -73,10 +76,10 @@ def root_only_mass(seq):
     return p
 
 
-def forward_state_peak(seq):
-    """Most distinct forward states after any step, counted by enumerating
+def forward_state_counts(seq):
+    """The distinct forward states after each step, counted by enumerating
     every tree the prefix can build (a state: sorted active depths, height)."""
-    peak = 0
+    counts = []
     for j in range(1, len(seq) + 1):
         prefix = ChoiceSequence(seq.flags[:j])
 
@@ -84,8 +87,8 @@ def forward_state_peak(seq):
             tree = build_forward(prefix, driver)
             return tuple(sorted(tree.depths[v] for v in tree.active_list)), tree.height
 
-        peak = max(peak, len(law_of(state)))
-    return peak
+        counts.append(len(law_of(state)))
+    return counts
 
 
 class TestForwardDistribution:
@@ -155,17 +158,48 @@ class TestForwardDistribution:
         assert law.support_max <= seq.attach_count
 
     @pytest.mark.parametrize("text", ["+^8", "+^4-+^3", "+^3-^2+^4"])
-    def test_state_cap_boundary(self, text):
+    def test_state_cap_boundary(self, monkeypatch, text):
+        # every cap from -1 to the peak, on both dtypes and in slices of 1, 2
+        # and 16 entries: the DP raises exactly below the peak, naming the
+        # first step whose enumerated state count passes the cap
         seq = parse_sequence(text)
-        peak = forward_state_peak(seq)
-        exact_height_distribution_forward(seq, state_cap=peak)
-        with pytest.raises(StateSpaceExceeded):
-            exact_height_distribution_forward(seq, state_cap=peak - 1)
+        counts = forward_state_counts(seq)
+        for fits in (exact._fits_int64, lambda _: False):
+            monkeypatch.setattr(exact, "_fits_int64", fits)
+            for entries in (1, 2, 16):
+                monkeypatch.setattr(exact, "ARRAY_STEP_ENTRIES", entries)
+                for cap in range(-1, max(counts)):
+                    step = next(j for j, count in enumerate(counts, start=1) if count > cap)
+                    expected = f"forward DP passed state_cap={cap} at step {step} of '{text}'"
+                    with pytest.raises(StateSpaceExceeded, match=re.escape(expected)):
+                        exact_height_distribution_forward(seq, state_cap=cap)
+                exact_height_distribution_forward(seq, state_cap=max(counts))
 
     def test_state_cap_message(self):
-        expected = "forward DP reached 4 states at step 3 of '+^12', above state_cap=3"
+        expected = "forward DP passed state_cap=3 at step 3 of '+^12'"
         with pytest.raises(StateSpaceExceeded, match=re.escape(expected)):
             exact_height_distribution_forward(attach_run(12), state_cap=3)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds memory on Linux")
+    def test_a_long_run_stops_at_the_cap_in_little_memory(self):
+        # the DP builds a depth's unit when an attach first reaches it, so a
+        # million-attach run passes the cap at step 11 under a 1 GB
+        # address-space limit; tables for every depth up front do not fit
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from frostree import attach_run, exact_height_distribution_forward\n"
+            "try:\n"
+            "    exact_height_distribution_forward(attach_run(10**6), state_cap=1000)\n"
+            "except Exception as error:\n"
+            "    print(type(error).__name__)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.stdout.split() == ["StateSpaceExceeded"]
 
 
 @st.composite
@@ -225,12 +259,13 @@ class TestPackedStateBoundaries:
         if len(seq) <= 8:
             assert law == forward_law_by_enumeration(seq)
 
-    def test_state_cap_is_checked_after_each_source_state(self):
-        # step 4 of +^12 reaches 8 states; the check after each source state
-        # stops at the first count above the cap
-        expected = "forward DP reached 6 states at step 4 of '+^12', above state_cap=4"
-        with pytest.raises(StateSpaceExceeded, match=re.escape(expected)):
-            exact_height_distribution_forward(attach_run(12), state_cap=4)
+    def test_state_cap_names_the_step_whose_states_pass_it(self):
+        # steps 3 and 4 of +^12 end with 4 and 8 states, so every cap from 4
+        # to 7 lets step 3 through and stops at step 4
+        for cap in range(4, 8):
+            expected = f"forward DP passed state_cap={cap} at step 4 of '+^12'"
+            with pytest.raises(StateSpaceExceeded, match=re.escape(expected)):
+                exact_height_distribution_forward(attach_run(12), state_cap=cap)
 
 
 def cap_outcome(dp, seq, cap):
@@ -342,9 +377,9 @@ class TestInt64ArrayStep:
 
 
 def forward_dict_reference(seq, state_cap):
-    """The forward DP over Python ints in a dict, one source state at a time
-    in ascending key order, with the state_cap check after each source state:
-    the reference for the library's array step at either dtype."""
+    """The forward DP over Python ints in a dict, one source state at a time,
+    with the state_cap check after each source state: the reference for the
+    library's array step at either dtype."""
     width, hb = exact._packing(seq)
     hmask, digit = (1 << hb) - 1, (1 << width) - 1
     units = [1 << hb, 1 << (hb + width)]  # grows by one depth per attach step
@@ -354,8 +389,8 @@ def forward_dict_reference(seq, state_cap):
     for j, (attach, total) in enumerate(steps, start=1):
         moves = units[1:] if attach else [-u for u in units]
         next_states = {}
-        for key in sorted(states):
-            weight, height = states[key], key & hmask
+        for key, weight in states.items():
+            height = key & hmask
             top = height if attach else -1  # the depth whose attach raises the height
             rest = key >> hb
             depth = 0
@@ -367,9 +402,7 @@ def forward_dict_reference(seq, state_cap):
                 rest >>= width
                 depth += 1
             if len(next_states) > state_cap:
-                raise exact._state_cap_error(
-                    "forward", seq, j, len(next_states), state_cap
-                )
+                raise exact._state_cap_error("forward", seq, j, state_cap)
         if attach:
             units.append(units[-1] << width)
         states = next_states
@@ -407,9 +440,7 @@ def reverse_by_slot_pairs(seq, state_cap):
                         key = tuple(sorted(rest))
                         next_states[key] = next_states.get(key, 0) + weight
                 if len(next_states) > state_cap:
-                    raise exact._state_cap_error(
-                        "reverse", seq, i + 1, len(next_states), state_cap
-                    )
+                    raise exact._state_cap_error("reverse", seq, i + 1, state_cap)
             denominator *= s * (s - 1)
             s -= 1
         states = next_states
@@ -437,9 +468,7 @@ class TestReverseDistribution:
         # undoing the last attach of +^4-+^3 leaves (0^5, 1); undoing step 7
         # gives (0^4, 1^2), (0^5, 1) and (0^5, 2)
         seq = parse_sequence("+^4-+^3")
-        expected = (
-            "reverse DP reached 3 states at step 7 of '+^4-+^3', above state_cap=2"
-        )
+        expected = "reverse DP passed state_cap=2 at step 7 of '+^4-+^3'"
         with pytest.raises(StateSpaceExceeded, match=re.escape(expected)):
             exact_height_distribution_reverse(seq, state_cap=2)
 
