@@ -207,8 +207,11 @@ def _cmd_exact(args: argparse.Namespace) -> str:
     seq = parse_sequence(args.seq)
     construction = args.construction
     forward, reverse = exact_height_distribution_forward, exact_height_distribution_reverse
-    dist = (reverse if construction == "reverse" else forward)(seq)
-    equal = dist == reverse(seq) if construction == "both" else None
+    # the reverse law first: its length cap fails at once, where the forward
+    # DP on the same input may run for seconds
+    law = None if construction == "forward" else reverse(seq)
+    dist = law if construction == "reverse" else forward(seq)
+    equal = dist == law if construction == "both" else None
     if args.format == "csv":
         text = dist.to_csv()
         if equal is not None:

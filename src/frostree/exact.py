@@ -8,10 +8,14 @@ one int, the counts as fixed-width digits above a height field, so an attach
 or a freeze is one integer add.  A step runs over all states at once on
 numpy arrays in ascending packed key order: int64 arrays when every key
 fits in 62 bits and the law's denominator in int64, object arrays of Python
-ints otherwise.  Reverse laws track the multiset of tree
-heights in the coalescing forest: graft pairs are drawn uniformly over
-ordered slot pairs, so slot order never influences the law and sorting the
-heights is an exact lumping of the positional chain.
+ints otherwise.  Only the final heights reach the law, so the last step
+merges no states: each source state of height H sends its weight to H and
+H + 1 by its count of actives at depth H, whenever the step's bound on
+distinct successors, (source states) × (depths), is within the state cap.
+Reverse laws track the multiset of tree heights in the coalescing forest:
+graft pairs are drawn uniformly over ordered slot pairs, so slot order never
+influences the law and sorting the heights is an exact lumping of the
+positional chain.
 
 All arithmetic is exact: the DPs carry integer weights over one shared
 denominator per law and divide once per height at the end, and every law is a
@@ -164,7 +168,9 @@ def _forward_arrays(seq: ChoiceSequence, state_cap: int) -> HeightDistribution:
     ``_fits_int64``'s dtype: int64, or object when a key or weight is wider.
 
     ``keys`` and ``weights`` hold the states in ascending packed key order,
-    and ``units`` holds one unit per depth that the next attach can reach.
+    and ``units`` holds one unit per depth that the next attach can reach;
+    ``units`` and ``shifts`` start with up to 64 depths and double their
+    length when an attach fills them, up to every depth the run reaches.
     A step unpacks every digit of every state depth-major with one shift and
     mask, and finds the nonzero digits with one scan of that flat array,
     whose entry ``depth * len(source) + state`` is one state's digit.  The
@@ -176,20 +182,37 @@ def _forward_arrays(seq: ChoiceSequence, state_cap: int) -> HeightDistribution:
     A step whose digit array would pass ARRAY_STEP_ENTRIES runs over slices
     of the states, each merged with the states the earlier slices made, and
     the state count is checked against ``state_cap`` after each merge.
+
+    Only the heights of the last step's states reach the law, so the last
+    step merges nothing when it cannot pass the cap: a step has at most
+    ``len(keys) * depths`` distinct successors, and when that is at most
+    ``state_cap`` each source state of height H, weight w and c actives at
+    depth H gives H + 1 the weight w * c and H the weight w * (s - c) after
+    an attach, or H the weight w * s after a freeze, where s is the step's
+    active count.  Above that bound the last step merges as every other step
+    does and raises where its states pass the cap.
     """
     width, hb = _packing(seq)
     hmask, digit = (1 << hb) - 1, (1 << width) - 1
     dtype = np.int64 if _fits_int64(seq) else object
-    shifts = hb + width * np.arange(2, dtype=np.int64)
-    units = np.left_shift(np.ones(1, dtype=dtype), shifts)
-    keys, weights = units[:1], np.ones(1, dtype=dtype)
+    depths, last = 1, None  # last: the last step's flag when it merges nothing
+    shifts = units = np.zeros(0, dtype=np.int64)
+    keys, weights = np.full(1, 1 << hb, dtype=dtype), np.ones(1, dtype=dtype)
     for j, attach in enumerate(seq.flags.tolist(), start=1):
-        moves = units[1:] if attach else -units[:-1]  # one per occupiable depth
-        rows = max(1, ARRAY_STEP_ENTRIES // len(moves))
+        if depths >= len(shifts):  # 64 depths at first, twice as many when full
+            shifts = hb + width * np.arange(
+                min(max(2 * depths, 64), seq.attach_count + 2), dtype=np.int64
+            )
+            units = np.left_shift(np.ones(len(shifts), dtype=dtype), shifts)
+        if j == len(seq) and len(keys) * depths <= state_cap:
+            last = attach
+            break
+        moves = units[1 : depths + 1] if attach else -units[:depths]
+        rows = max(1, ARRAY_STEP_ENTRIES // depths)
         next_keys = next_weights = np.zeros(0, dtype=dtype)
         for lo in range(0, len(keys), rows):
             source = keys[lo : lo + rows]
-            counts = ((source >> shifts[:-1, None]) & digit).ravel()
+            counts = ((source >> shifts[:depths, None]) & digit).ravel()
             state = counts.nonzero()[0]  # a flat entry until depth is taken off
             counts = counts[state]
             depth = state // len(source)  # np.divmod is slower on int64
@@ -208,11 +231,17 @@ def _forward_arrays(seq: ChoiceSequence, state_cap: int) -> HeightDistribution:
             next_keys = moved[starts]
             next_weights = np.add.reduceat(np.concatenate((next_weights, added))[order], starts)
         keys, weights = next_keys, next_weights
-        if attach:
-            shifts = np.concatenate((shifts, shifts[-1:] + width))
-            units = np.concatenate((units, units[-1:] << width))
+        depths += attach
+    heights = (keys & hmask).astype(np.int64, copy=False)
     totals = np.zeros(seq.attach_count + 1, dtype=dtype)
-    np.add.at(totals, (keys & hmask).astype(np.int64, copy=False), weights)
+    if last is not None:  # each source state's weight times its s successors
+        successors = weights * int(seq.sizes[-1])
+        if last:  # the c actives at depth H raise the height to H + 1
+            raised = weights * ((keys >> shifts[heights]) & digit)
+            np.add.at(totals, heights + 1, raised)
+            successors -= raised
+        weights = successors
+    np.add.at(totals, heights, weights)
     return _law(enumerate(totals.tolist()), math.prod(seq.sizes.tolist()))
 
 
@@ -257,11 +286,11 @@ def exact_height_distribution_reverse(
     ``state_cap`` raises StateSpaceExceeded naming that step; the count is
     checked after each source state.
     """
+    require_valid(seq)
     if len(seq) > length_cap:
         raise StateSpaceExceeded(
             f"reverse enumeration capped at length {length_cap}, got {len(seq)}"
         )
-    require_valid(seq)
     s = seq.walk.final  # trees in the forest before the next reverse step
     states: dict[tuple[int, ...], int] = {(0,) * s: 1}
     denominator = 1

@@ -33,6 +33,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# sha256 of exact's JSON.  The last step is an attach or a freeze, each on
+# the int64 dtype and on the object dtype (keys over 62 bits).
+EXACT_DIGESTS = {
+    ("+^6-+^2-+",): "43f7a053e46d6bad0622d09d0614026d446c998135bb95fee6a85cde762acbd8",
+    ("+^7-+^3-",): "5d0ea2b29cf4753e9e0c982bcd73bf018eba132a33c3401787a1f82350369d5c",
+    ("+^7-+^7",): "440ef1b7fd607a5ac9c36173cbc81971afebcb115b9f3d762df87998a49f1361",
+    ("+^7-+^7-",): "2a05849f5cf615767c73111645e1ce82e10dc0bfad1a1bc93da4d852ec72454e",
+    ("+^3-^2+^4", "--construction", "both"):
+        "ea5ab1fd474cf497ff63a13b2d0ae90b38af32a700dec47dd1a7bddfb7a1bc5b",
+}
+
+
 class TestExact:
     def test_both_constructions_agree(self, capsys):
         code, out, _ = run_cli(
@@ -71,6 +83,26 @@ class TestExact:
         obj = json.loads(out)
         assert obj["construction"] == "reverse"
         assert obj["distribution"]["support"] == [1, 2]
+
+    def test_both_stops_at_the_reverse_cap_before_the_forward_dp(self, capsys, monkeypatch):
+        def fail(seq):
+            raise AssertionError("the forward DP ran")
+
+        monkeypatch.setattr(cli, "exact_height_distribution_forward", fail)
+        code, out, err = run_cli(capsys, "exact", "--seq", "+^20", "--construction", "both")
+        assert code == 1 and out == ""
+        assert "reverse enumeration capped at length 12, got 20" in err
+
+    def test_both_reports_an_invalid_sequence_before_the_reverse_cap(self, capsys):
+        code, out, err = run_cli(capsys, "exact", "--seq=+^13-^15", "--construction", "both")
+        assert code == 1 and out == ""
+        assert "exhausts its active vertices early" in err
+
+    @pytest.mark.parametrize("argv", EXACT_DIGESTS)
+    def test_output_bytes_are_pinned(self, capsys, argv):
+        code, out, err = run_cli(capsys, "exact", "--seq", *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == EXACT_DIGESTS[argv]
 
 
 class TestSimulate:

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -259,6 +260,15 @@ class TestPackedStateBoundaries:
         if len(seq) <= 8:
             assert law == forward_law_by_enumeration(seq)
 
+    @pytest.mark.parametrize("n", [62, 63, 64, 130])
+    def test_depth_tables_grow_past_their_first_64_depths(self, n):
+        # (+-)^n reaches n + 1 depths: the first tables hold 64, and double
+        # when an attach fills them (at n = 63 and again at n = 127)
+        seq = alternating(n)
+        assert exact_height_distribution_forward(seq) == forward_dict_reference(
+            seq, exact.DEFAULT_STATE_CAP
+        )
+
     def test_state_cap_names_the_step_whose_states_pass_it(self):
         # steps 3 and 4 of +^12 end with 4 and 8 states, so every cap from 4
         # to 7 lets step 3 through and stops at step 4
@@ -305,6 +315,16 @@ def wide_sequences(draw):
 
 
 POOL = Path(__file__).resolve().parent.parent / "perfbench" / "exact_pool.txt"
+LAST_STEP_TEXTS = ["+^8", "+^4-+^3", "+^3-^2+^4", "+^5-^4+^3", "(+-)^6", "+^6-^6", "+^2-^2+^5"]
+
+
+def last_step_bound(seq):
+    """The dict DP's law, its peak state count, and the bound on the last
+    step's distinct states: the states before it times the depths they can
+    occupy, one more than the attaches before it."""
+    counts = [1]  # the one state before step 1
+    law = forward_dict_reference(seq, exact.DEFAULT_STATE_CAP, counts)
+    return law, max(counts[1:]), counts[-2] * (int(seq.flags[:-1].sum()) + 1)
 
 
 class TestInt64ArrayStep:
@@ -362,24 +382,78 @@ class TestInt64ArrayStep:
         assert_caps_agree(parse_sequence(text))
 
     def test_pool_laws_and_peaks(self):
-        # every exact_dp benchmark member: the dict DP's law, and the peak
-        # state count that the pool file records
+        # every exact_dp benchmark member: the dict DP's law at the peak state
+        # count that the pool file records and at the default cap, and the
+        # cap error one below the peak
         for line in POOL.read_text().splitlines():
             if line.startswith("#"):
                 continue
             text, _, peak = line.split()
             seq = parse_sequence(text)
             assert exact._fits_int64(seq), text
-            law = exact._forward_arrays(seq, int(peak))
-            assert law == forward_dict_reference(seq, exact.DEFAULT_STATE_CAP), text
+            law = forward_dict_reference(seq, exact.DEFAULT_STATE_CAP)
+            assert exact._forward_arrays(seq, int(peak)) == law, text
+            assert exact_height_distribution_forward(seq) == law, text
             with pytest.raises(StateSpaceExceeded):
                 exact._forward_arrays(seq, int(peak) - 1)
 
+    @pytest.mark.parametrize("text, fits", with_object_dtype(LAST_STEP_TEXTS))
+    def test_every_cap_up_to_the_last_step_bound_gives_the_law(self, monkeypatch, text, fits):
+        # every cap from the peak, the first that passes, to one past the
+        # bound (below it the last step merges, from it on it reads heights
+        # off) gives the dict DP's law; in slices of 1, 2 and 16 entries, so
+        # do the peak and the caps around the bound, where the route changes
+        monkeypatch.setattr(exact, "_fits_int64", fits)
+        seq = parse_sequence(text)
+        law, peak, bound = last_step_bound(seq)
+        for cap in range(peak, bound + 2):
+            assert exact._forward_arrays(seq, cap) == law, (text, cap)
+        for entries in (1, 2, 16):
+            monkeypatch.setattr(exact, "ARRAY_STEP_ENTRIES", entries)
+            for cap in (peak, bound - 1, bound, bound + 1):
+                assert exact._forward_arrays(seq, cap) == law, (text, entries, cap)
 
-def forward_dict_reference(seq, state_cap):
+    @pytest.mark.parametrize("text", ["+^8", "+^4-+^3", "+^6-^6", "(+-)^6"])
+    def test_the_last_step_merges_only_above_its_bound(self, monkeypatch, text):
+        # each merged step sorts its moved keys once (one slice at the default
+        # ARRAY_STEP_ENTRIES); at a cap of len(keys) * depths or more the last
+        # step sorts nothing
+        seq = parse_sequence(text)
+        law, peak, bound = last_step_bound(seq)
+        assert peak < bound, text
+        sorts = []
+        argsort = np.argsort
+
+        def counted(*args, **kwargs):
+            sorts.append(1)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        for cap, merged in ((bound - 1, len(seq)), (bound, len(seq) - 1)):
+            sorts.clear()
+            assert exact._forward_arrays(seq, cap) == law, (text, cap)
+            assert len(sorts) == merged, (text, cap)
+
+    def test_every_short_sequence_at_the_default_cap_and_the_peak(self):
+        # the default cap reads the last step's heights off its sources; the
+        # peak, the smallest cap that passes, merges it whenever the peak is
+        # below the bound
+        for length in range(11):
+            for seq in iter_valid_sequences(length):
+                counts = []
+                law = forward_dict_reference(seq, exact.DEFAULT_STATE_CAP, counts)
+                assert exact_height_distribution_forward(seq) == law, seq.text
+                if counts:  # the empty sequence has no step to pass a cap
+                    assert exact._forward_arrays(seq, max(counts)) == law, seq.text
+                    with pytest.raises(StateSpaceExceeded):
+                        exact._forward_arrays(seq, max(counts) - 1)
+
+
+def forward_dict_reference(seq, state_cap, counts=None):
     """The forward DP over Python ints in a dict, one source state at a time,
     with the state_cap check after each source state: the reference for the
-    library's array step at either dtype."""
+    library's array step at either dtype.  Each step's distinct state count
+    is appended to counts when it is given."""
     width, hb = exact._packing(seq)
     hmask, digit = (1 << hb) - 1, (1 << width) - 1
     units = [1 << hb, 1 << (hb + width)]  # grows by one depth per attach step
@@ -405,6 +479,8 @@ def forward_dict_reference(seq, state_cap):
                 raise exact._state_cap_error("forward", seq, j, state_cap)
         if attach:
             units.append(units[-1] << width)
+        if counts is not None:
+            counts.append(len(next_states))
         states = next_states
         denominator *= total
     weights = {}
